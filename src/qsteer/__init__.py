@@ -25,7 +25,6 @@ from .errors import QsteerError, ValidationError
 from .msc import (
     MscOptions,
     MscResult,
-    fibonacci_sphere,
     msc_general,
     msc_oracle,
     msc_two_qubit,
@@ -38,6 +37,7 @@ from .qcore import (
     PauliForm,
     bloch_vector,
     eigen_hermitian,
+    fibonacci_sphere,
     partial_trace,
     pauli_compose,
     pauli_decompose,

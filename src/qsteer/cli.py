@@ -118,8 +118,6 @@ def _add_family_flags(p: argparse.ArgumentParser, with_path: bool = True) -> Non
 
 def _options_from(args) -> MscOptions:
     kw = {}
-    if getattr(args, "grid", None):
-        kw["grid"] = args.grid
     if getattr(args, "tol", None):
         kw["fatol"] = args.tol
     if getattr(args, "seed", None) is not None:
@@ -227,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_msc = sub.add_parser("msc", help="maximal steered coherence of a state")
     _add_family_flags(p_msc)
-    p_msc.add_argument("--grid", type=int, help="multistart grid size")
     p_msc.add_argument("--tol", type=float, help="optimizer objective tolerance")
     p_msc.add_argument("--seed", type=int, help="seed for randomized starts")
     p_msc.set_defaults(fn=cmd_msc)

@@ -13,6 +13,10 @@ class ValidationError(QsteerError, ValueError):
     """An operator or parameter failed a physicality/consistency check."""
 
 
+class NotFinite(ValidationError):
+    """An input array holds NaN or infinite entries."""
+
+
 class NotHermitian(ValidationError):
     pass
 

@@ -1,10 +1,12 @@
 """Maximal steered coherence optimizers and brute-force oracles.
 
-The two-qubit path maximizes |T^T m x n_B| / |1 + a.m| over projective
-measurement directions m on the Bloch sphere (multistart grid plus
-Nelder-Mead refinement in spherical coordinates). When Bob's marginal is
+The two-qubit path is exact: the coherence of a steered point x in the
+basis along n is |P x| with P = 1 - n n^T, so over the steering ellipsoid
+{c + M u : |u| = 1} the maximum is a trust-region subproblem in u, solved
+globally, and the optimal u maps back to Alice's measurement direction
+through the whitening map. When Bob's marginal is
 degenerate (b = 0) the reference basis is ambiguous and the value is the
-infimum over basis axes n_B of the inner maximum.
+infimum over basis axes n_B of that exact inner maximum.
 
 The general-dimension path maximizes the l1 coherence of the steered state
 over rank-one POVM elements |psi><psi| on Alice's side; for a fixed
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .coherence import coherence_l1
 from .errors import (
     DimensionTooLarge,
     NotBipartite,
@@ -29,7 +32,7 @@ from .errors import (
     TrivialProductState,
     WrongDimension,
 )
-from .optimize import nelder_mead
+from .optimize import max_norm_on_sphere, nelder_mead
 from .qcore import (
     Basis,
     DensityMatrix,
@@ -37,22 +40,20 @@ from .qcore import (
     SIGMA_0,
     bloch_basis,
     eigen_hermitian,
+    fibonacci_sphere,
     ket_dm,
     partial_trace,
     pauli_decompose,
 )
-from .steering import ZERO_PROBABILITY_TOL, _steer_raw, steer
+from .steering import ZERO_PROBABILITY_TOL, _steer_raw, _whiten, steer
 
 TRIVIAL_A_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class MscOptions:
-    """Optimizer budgets and thresholds; defaults suit two-qubit accuracy ~1e-8."""
+    """Thresholds, outer-search budgets and general-path simplex budgets."""
 
-    grid: int = 512
-    refine_starts: int = 3
-    maxiter: int = 300
     xatol: float = 1e-10
     fatol: float = 1e-13
     degenerate_tol: float = 1e-9
@@ -94,15 +95,6 @@ class MscResult:
 # ---------- deterministic direction grids ----------
 
 
-def fibonacci_sphere(n: int) -> np.ndarray:
-    """Classic n-point Fibonacci lattice on the unit sphere."""
-    i = np.arange(n)
-    z = 1.0 - (2.0 * i + 1.0) / n
-    phi = np.pi * (1.0 + 5.0**0.5) * i
-    s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
-
-
 def _vdc2(n: int) -> np.ndarray:
     # van der Corput base-2 sequence, vectorized.
     i = np.arange(n, dtype=np.int64)
@@ -130,87 +122,10 @@ def sphere_sequence(n: int) -> np.ndarray:
 # ---------- two-qubit path ----------
 
 
-def _cross_matrix(n: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, -n[2], n[1]],
-            [n[2], 0.0, -n[0]],
-            [-n[1], n[0], 0.0],
-        ]
-    )
-
-
-def _spherical_to_unit(x) -> np.ndarray:
-    th, ph = x
-    s = math.sin(th)
-    return np.array([s * math.cos(ph), s * math.sin(ph), math.cos(th)])
-
-
-def _max_direction(a, t_mat, n_hat, opts: MscOptions, grid_n=None, refine=None, maxiter=None, polish=True):
-    """Maximize |T^T m x n_hat| / |1 + a.m| over unit m; returns (value, m, converged)."""
-    grid_n = opts.grid if grid_n is None else grid_n
-    refine = opts.refine_starts if refine is None else refine
-    maxiter = opts.maxiter if maxiter is None else maxiter
-
-    k_mat = _cross_matrix(n_hat) @ t_mat.T
-    grid = fibonacci_sphere(grid_n)
-    num = np.linalg.norm(grid @ k_mat.T, axis=1)
-    den = np.abs(1.0 + grid @ a)
-    den = np.where(den < 1e-12, np.inf, den)
-    vals = num / den
-
-    order = np.argsort(-vals, kind="stable")
-    starts = []
-    for idx in order:
-        m = grid[idx]
-        if any(float(m @ s) > math.cos(0.35) for s in starts):
-            continue
-        starts.append(m)
-        if len(starts) >= refine:
-            break
-
-    # Pure-float objective keeps the simplex loop cheap.
-    k11, k12, k13 = k_mat[0]
-    k21, k22, k23 = k_mat[1]
-    k31, k32, k33 = k_mat[2]
-    a1, a2, a3 = a
-
-    def neg(x):
-        th, ph = x
-        sth = math.sin(th)
-        m1 = sth * math.cos(ph)
-        m2 = sth * math.sin(ph)
-        m3 = math.cos(th)
-        d = abs(1.0 + a1 * m1 + a2 * m2 + a3 * m3)
-        if d < 1e-12:
-            return 0.0
-        u1 = k11 * m1 + k12 * m2 + k13 * m3
-        u2 = k21 * m1 + k22 * m2 + k23 * m3
-        u3 = k31 * m1 + k32 * m2 + k33 * m3
-        return -math.sqrt(u1 * u1 + u2 * u2 + u3 * u3) / d
-
-    best_val = float(vals[order[0]])
-    best_m = grid[order[0]]
-    best_x = np.array([math.acos(np.clip(best_m[2], -1, 1)), math.atan2(best_m[1], best_m[0])])
-    best_conv = True
-    for m0 in starts:
-        x0 = np.array([math.acos(np.clip(m0[2], -1, 1)), math.atan2(m0[1], m0[0])])
-        x, fx, conv = nelder_mead(neg, x0, step=0.15, xatol=opts.xatol, fatol=opts.fatol, maxiter=maxiter)
-        if -fx > best_val:
-            best_val = -fx
-            best_m = _spherical_to_unit(x)
-            best_x = x
-            best_conv = conv
-    # Fresh-simplex restarts cure premature collapse on ridge-shaped maxima.
-    if polish:
-        for step in (0.02, 0.002):
-            x, fx, conv = nelder_mead(neg, best_x, step=step, xatol=opts.xatol, fatol=opts.fatol, maxiter=maxiter)
-            if -fx > best_val:
-                best_val = -fx
-                best_m = _spherical_to_unit(x)
-                best_x = x
-                best_conv = conv
-    return best_val, best_m, best_conv
+def _inner(c, m_mat, n_hat):
+    """Exact max of |x x n_hat| over the ellipsoid {c + M u}; returns (value, u, converged)."""
+    p = np.eye(3) - np.outer(n_hat, n_hat)
+    return max_norm_on_sphere(p @ c, p @ m_mat)
 
 
 def _cap_grid(center: np.ndarray, radius: float, k: int) -> np.ndarray:
@@ -228,34 +143,26 @@ def _cap_grid(center: np.ndarray, radius: float, k: int) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1)[:, None]
 
 
-def _minimax(a, t_mat, opts: MscOptions):
-    """inf over basis axes n of the inner maximum; returns (value, n, m, converged)."""
-    inner_kw = dict(grid_n=64, refine=1, maxiter=100, polish=False)
+def _minimax(c, m_mat, opts: MscOptions):
+    """inf over basis axes n of the inner maximum; returns (n, u, converged)."""
 
-    def outer_val(n_hat):
-        return _max_direction(a, t_mat, n_hat, opts, **inner_kw)[0]
+    def solve(n_hat):
+        value, u, conv = _inner(c, m_mat, n_hat)
+        return value, n_hat, u, conv
+
+    def lowest(cands):
+        return min(cands, key=lambda t: t[0])
 
     # n and -n give the same basis, so scan one hemisphere; the outer
     # objective is a max of branches (kinked at the minimum), so refine by
     # shrinking-cap grids around the incumbent instead of a simplex.
     grid = fibonacci_sphere(2 * opts.outer_grid)
-    grid = grid[grid[:, 2] >= 0][: opts.outer_grid]
-    vals = np.array([outer_val(n) for n in grid])
-    best_idx = int(np.argmin(vals))
-    best_n = grid[best_idx]
-    best_val = float(vals[best_idx])
-
+    best = lowest([solve(n_hat) for n_hat in grid[grid[:, 2] >= 0][: opts.outer_grid]])
     radius = 2.2 / math.sqrt(opts.outer_grid)
     for _ in range(opts.outer_levels):
-        for cand in _cap_grid(best_n, radius, opts.outer_cap_points):
-            v = outer_val(cand)
-            if v < best_val:
-                best_val = v
-                best_n = cand
+        best = lowest([best] + [solve(n_hat) for n_hat in _cap_grid(best[1], radius, opts.outer_cap_points)])
         radius *= 0.4
-
-    value, m, conv_inner = _max_direction(a, t_mat, best_n, opts)
-    return value, best_n, m, conv_inner
+    return best[1:]
 
 
 def msc_two_qubit(state: DensityMatrix, opts: MscOptions = DEFAULT_OPTIONS) -> MscResult:
@@ -263,24 +170,26 @@ def msc_two_qubit(state: DensityMatrix, opts: MscOptions = DEFAULT_OPTIONS) -> M
 
     Routes to the infimum branch automatically when Bob's marginal is
     degenerate (|b| below opts.degenerate_tol). Raises TrivialProductState
-    when Alice's marginal is pure (|a| = 1), where steering is trivial.
+    when Alice's marginal is pure (|a| = 1), where steering is trivial. The
+    value is the coherence of the witness steered state, built from the
+    exact trust-region optimum, in the returned reference basis.
     """
     if state.dims != (2, 2):
         raise WrongDimension(f"two-qubit path needs dims (2, 2), got {state.dims}")
     th = pauli_decompose(state)
-    a, b, t_mat = th.a, th.b, th.T
+    a, b = th.a, th.b
     a_norm = float(np.linalg.norm(a))
     if 1.0 - a_norm <= TRIVIAL_A_TOL:
         raise TrivialProductState(
             f"|a| = {a_norm:.12f}: Alice's marginal is pure within {TRIVIAL_A_TOL:.0e}, "
             "the state is a product and all steered states coincide"
         )
+    c, m_mat, lam = _whiten(th)
     b_norm = float(np.linalg.norm(b))
     warnings: tuple[str, ...] = ()
 
     if b_norm < opts.degenerate_tol:
-        value, n_hat, m, converged = _minimax(a, t_mat, opts)
-        basis = bloch_basis(n_hat)
+        n_hat, u, converged = _minimax(c, m_mat, opts)
         degenerate = True
     else:
         if b_norm < opts.near_degenerate_tol:
@@ -288,15 +197,19 @@ def msc_two_qubit(state: DensityMatrix, opts: MscOptions = DEFAULT_OPTIONS) -> M
                 f"|b| = {b_norm:.3e} is between the degeneracy tolerance and "
                 f"{opts.near_degenerate_tol:.0e}: the reference basis is ill-conditioned",
             )
+        # The eigenbasis of rho_B = (1 + b.sigma)/2, taken from the unit axis:
+        # an eigensolve of rho_B itself loses digits as its gap |b| shrinks.
         n_hat = b / b_norm
-        value, m, converged = _max_direction(a, t_mat, n_hat, opts)
-        _, basis = eigen_hermitian(partial_trace(state, 1).matrix, opts.degenerate_tol)
+        _, u, converged = _inner(c, m_mat, n_hat)
         degenerate = False
+    basis = bloch_basis(n_hat)
 
+    m = (lam @ np.concatenate(([1.0], u)))[1:]
+    m /= np.linalg.norm(m)
     m_op = (SIGMA_0 + m[0] * PAULIS[1] + m[1] * PAULIS[2] + m[2] * PAULIS[3]) / 2
     steered, _ = steer(state, m_op)
     return MscResult(
-        value=value,
+        value=coherence_l1(steered, basis),
         optimal_m=m,
         steered_state=steered,
         reference_basis=basis,

@@ -1,12 +1,15 @@
-"""A compact Nelder-Mead simplex minimizer.
+"""Small dependency-free optimizers, deterministic for fixed inputs.
 
-Small, dependency-free, and fast for the 2-6 dimensional smooth objectives
-used by the steered-coherence optimizers: the simplex loop runs on plain
-Python floats, so a 2-D run costs well under a millisecond. Deterministic
-for fixed inputs.
+A Nelder-Mead simplex on plain Python floats for the general path's 4-8
+dimensional objectives, bisection, and an exact trust-region step for the
+two-qubit path's inner problem: the largest |g + A u| over unit u.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 
 def nelder_mead(f, x0, step=0.25, xatol=1e-10, fatol=1e-13, maxiter=400):
@@ -98,3 +101,52 @@ def bisect(g, lo: float, hi: float, tol: float = 1e-12, maxiter: int = 200) -> f
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def max_norm_on_sphere(g, a):
+    """Global maximum of |g + A u| over unit 3-vectors u; returns (value, u, converged).
+
+    The trust-region subproblem solved exactly (Moré & Sorensen, SIAM J.
+    Sci. Stat. Comput. 4 (1983)): one eigendecomposition of A^T A, then
+    Newton steps on the secular equation in the shift delta above its top
+    eigenvalue, hard case included (docs/formulas.md). converged is False
+    only when 100 steps did not settle; u is then still a unit vector and
+    value a lower bound.
+    """
+    g = np.asarray(g, dtype=float)
+    a = np.asarray(a, dtype=float)
+    lam, vecs = np.linalg.eigh(a.T @ a)
+    lam, vecs = lam[::-1], vecs[:, ::-1]
+    h = (vecs.T @ (a.T @ g)).tolist()
+    top = float(lam[0])
+    d = [0.0] + [max(top - float(x), 0.0) for x in lam[1:]]
+    live = [(hi * hi, di) for hi, di in zip(h, d) if hi != 0.0]
+
+    converged = True
+    delta = 0.0
+    hard = all(di > 0.0 for _, di in live) and sum(wi / (di * di) for wi, di in live) <= 1.0
+    if not hard:
+        # sum(w / (delta + d)^2)^(-1/2) is concave and increasing, so Newton
+        # steps from a lower bound climb monotonically to the root.
+        delta = max(0.0, max(math.sqrt(wi) - di for wi, di in live))
+        upper = math.sqrt(sum(wi for wi, _ in live))
+        converged = False
+        for _ in range(100):
+            s0 = s1 = 0.0
+            for wi, di in live:
+                r = 1.0 / (delta + di)
+                s0 += wi * r * r
+                s1 += wi * r * r * r
+            new = min(delta + (1.0 - s0**-0.5) * s0**1.5 / s1, upper)
+            if new - delta <= 1e-15 * new:
+                delta = max(delta, new)
+                converged = True
+                break
+            delta = new
+
+    coef = [hi / (delta + di) if delta + di > 0.0 else 0.0 for hi, di in zip(h, d)]
+    if hard:
+        coef[0] = math.sqrt(max(0.0, 1.0 - sum(x * x for x in coef)))
+    u = vecs @ np.array(coef)
+    u /= np.linalg.norm(u)
+    return float(np.linalg.norm(g + a @ u)), u, converged

@@ -1,9 +1,10 @@
 """Dense complex linear algebra for small quantum systems (dimension <= 16).
 
 Density-operator validation, partial trace, Hermitian eigendecomposition with
-an explicit degeneracy flag, and the Pauli (Bloch) decomposition of two-qubit
-states. All operations are pure functions on immutable values; matrices are
-plain complex numpy arrays.
+an explicit degeneracy flag, the Pauli (Bloch) decomposition of two-qubit
+states, and the Fibonacci lattice of directions on the Bloch sphere. All
+operations are pure functions on immutable values; matrices are plain
+complex numpy arrays.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from .errors import (
     NotBipartite,
+    NotFinite,
     NotHermitian,
     NotPSD,
     NotUnitTrace,
@@ -117,10 +119,11 @@ class PauliForm:
 
 
 def validate_density(matrix: np.ndarray, dims) -> DensityMatrix:
-    """Check Hermiticity, unit trace and positivity; return a DensityMatrix.
+    """Check finiteness, Hermiticity, unit trace and positivity; return a DensityMatrix.
 
-    Raises NotHermitian / NotUnitTrace / NotPSD with the violated tolerance
-    and the measured value, or WrongDimension for shape problems.
+    Raises NotFinite for NaN or infinite entries, NotHermitian / NotUnitTrace
+    / NotPSD with the violated tolerance and the measured value, or
+    WrongDimension for shape problems.
     """
     matrix = np.asarray(matrix, dtype=complex)
     dims = tuple(int(d) for d in dims)
@@ -132,6 +135,9 @@ def validate_density(matrix: np.ndarray, dims) -> DensityMatrix:
     if matrix.shape != (d, d):
         raise WrongDimension(f"matrix shape {matrix.shape} does not match dims {dims} (expected {(d, d)})")
 
+    if not np.isfinite(matrix).all():
+        bad = int(np.count_nonzero(~np.isfinite(matrix)))
+        raise NotFinite(f"{bad} of {matrix.size} matrix entries are NaN or infinite")
     herm_dev = np.abs(matrix - dag(matrix)).max()
     if herm_dev > HERMITIAN_TOL:
         raise NotHermitian(f"max |rho - rho^dag| = {herm_dev:.3e} exceeds tolerance {HERMITIAN_TOL:.0e}")
@@ -235,6 +241,15 @@ def qubit_state(b) -> np.ndarray:
     if np.linalg.norm(b) > 1 + 1e-10:
         raise NotPSD(f"Bloch norm {np.linalg.norm(b):.12f} exceeds 1 + 1e-10")
     return (SIGMA_0 + b[0] * SIGMA_X + b[1] * SIGMA_Y + b[2] * SIGMA_Z) / 2
+
+
+def fibonacci_sphere(n: int) -> np.ndarray:
+    """Classic n-point Fibonacci lattice on the unit sphere (rows are unit vectors)."""
+    i = np.arange(n)
+    z = 1.0 - (2.0 * i + 1.0) / n
+    phi = np.pi * (1.0 + 5.0**0.5) * i
+    s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
 
 
 def bloch_basis(n) -> Basis:

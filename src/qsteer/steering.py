@@ -2,10 +2,10 @@
 
 Covers the steered-state map, its two-qubit Bloch form, the canonical
 (maximally-mixed-Alice) transform, and the quantum steering ellipsoid: the
-set of Bloch vectors Bob's qubit can be steered to. The ellipsoid is
-computed through the canonical transform, whose output has a = 0 so the
-steered set is simply the image of the measurement sphere under
-m -> b + T^T m; its axes are the singular directions of T^T.
+set of Bloch vectors Bob's qubit can be steered to. The ellipsoid comes from
+the whitened Pauli form, which has a = 0, so the steered set is the image
+{c + M u : |u| = 1} of the measurement sphere; its axes are the singular
+directions of M.
 """
 
 from __future__ import annotations
@@ -24,10 +24,13 @@ from .errors import (
     SingularMarginal,
     ZeroProbability,
 )
+from .optimize import max_norm_on_sphere
 from .qcore import (
+    PAULIS,
     DensityMatrix,
     PauliForm,
     dag,
+    fibonacci_sphere,
     pauli_decompose,
     validate_density,
 )
@@ -36,6 +39,8 @@ ZERO_PROBABILITY_TOL = 1e-12
 SINGULAR_MARGINAL_TOL = 1e-12
 POVM_EIG_TOL = 1e-10
 BALL_TOL = 1e-8
+
+_PAULI_STACK = np.array(PAULIS)
 
 
 def validate_povm_element(matrix: np.ndarray) -> np.ndarray:
@@ -67,7 +72,9 @@ def steer(state: DensityMatrix, m_op: np.ndarray) -> tuple[DensityMatrix, float]
     """Bob's steered state and the outcome probability for POVM element M.
 
     Raises ZeroProbability when tr((M x 1) rho) falls below 1e-12; the
-    steered state is undefined there rather than renormalized noise.
+    steered state is undefined there rather than renormalized noise. The
+    steered operator is symmetrized before dividing by p, so the returned
+    state is Hermitian by construction even when p is small.
     """
     if not state.is_bipartite:
         raise NotBipartite(f"steering needs a bipartite state, got dims {state.dims}")
@@ -79,7 +86,7 @@ def steer(state: DensityMatrix, m_op: np.ndarray) -> tuple[DensityMatrix, float]
     out, p = _steer_raw(state.matrix, m_op, state.dims)
     if p <= ZERO_PROBABILITY_TOL:
         raise ZeroProbability(f"outcome probability {p:.3e} below threshold {ZERO_PROBABILITY_TOL:.0e}")
-    return validate_density(out / p, (state.dims[1],)), p
+    return validate_density((out + dag(out)) / (2 * p), (state.dims[1],)), p
 
 
 def steered_bloch(theta: PauliForm, m) -> np.ndarray:
@@ -89,6 +96,18 @@ def steered_bloch(theta: PauliForm, m) -> np.ndarray:
     if den <= 1e-12:
         raise SingularDenominator(f"|1 + a.m| = {den:.3e} below 1e-12 (|a| ~ 1 product state)")
     return (theta.b + theta.T.T @ m) / den
+
+
+def _inverse_sqrt(rho_a: np.ndarray) -> np.ndarray:
+    # The whitening R = rho_A^(-1/2) shared by the canonical transform and
+    # the Pauli-form route (_whiten).
+    w, v = np.linalg.eigh(rho_a)
+    if w.min() < SINGULAR_MARGINAL_TOL:
+        raise SingularMarginal(
+            f"min eigenvalue of rho_A = {w.min():.3e} below {SINGULAR_MARGINAL_TOL:.0e}; "
+            "rho_A is pure and the state is a trivial product"
+        )
+    return (v * w**-0.5) @ dag(v)
 
 
 def canonical_transform(state: DensityMatrix) -> DensityMatrix:
@@ -102,19 +121,27 @@ def canonical_transform(state: DensityMatrix) -> DensityMatrix:
         raise NotBipartite(f"canonical transform needs a bipartite state, got dims {state.dims}")
     da, db = state.dims
     r = state.matrix.reshape(da, db, da, db)
-    rho_a = np.einsum("ibjb->ij", r)
-    w, v = np.linalg.eigh(rho_a)
-    if w.min() < SINGULAR_MARGINAL_TOL:
-        raise SingularMarginal(
-            f"min eigenvalue of rho_A = {w.min():.3e} below {SINGULAR_MARGINAL_TOL:.0e}; "
-            "rho_A is pure and the state is a trivial product"
-        )
-    inv_sqrt = v @ np.diag(w**-0.5) @ dag(v)
-    op = np.kron(inv_sqrt, np.eye(db))
+    op = np.kron(_inverse_sqrt(np.einsum("ibjb->ij", r)), np.eye(db))
     out = op @ state.matrix @ op
     out = (out + dag(out)) / 2
     out /= np.real(np.trace(out))
     return validate_density(out, state.dims)
+
+
+def _whiten(theta: PauliForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Steering ellipsoid {c + M u : |u| = 1} of a Pauli form, and its whitening map.
+
+    Returns (c, M, Lambda) with Lambda_{mu nu} = tr(sigma_mu R sigma_nu R) / 2,
+    R = rho_A^(-1/2): the canonical form is proportional to Lambda theta,
+    c = b_can, M = T_can^T, and Alice's direction m steering to c + M u lies
+    along (Lambda (1, u))[1:]. Raises SingularMarginal when rho_A is pure.
+    """
+    r = _inverse_sqrt(np.einsum("m,mij->ij", theta.theta[:, 0], _PAULI_STACK) / 2)
+    x = _PAULI_STACK @ r
+    lam = 0.5 * np.real(np.einsum("mij,nji->mn", x, x))
+    can = lam @ theta.theta
+    can /= can[0, 0]
+    return can[0, 1:], can[1:, 1:].T, lam
 
 
 @dataclass(frozen=True)
@@ -131,7 +158,7 @@ class Ellipsoid:
 
     def surface_points(self, num: int = 422) -> np.ndarray:
         """Deterministic sample of the surface (rows are Bloch vectors)."""
-        u = _fibonacci_sphere(num)
+        u = fibonacci_sphere(num)
         return self.center + (self.frame @ (self.semiaxes[:, None] * u.T)).T
 
     def surface_residual(self, points: np.ndarray) -> float:
@@ -154,14 +181,6 @@ class Ellipsoid:
         return out
 
 
-def _fibonacci_sphere(n: int) -> np.ndarray:
-    i = np.arange(n)
-    z = 1.0 - (2.0 * i + 1.0) / n
-    phi = np.pi * (1.0 + 5.0**0.5) * i
-    s = np.sqrt(1.0 - z * z)
-    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
-
-
 def _fix_sign(v: np.ndarray) -> np.ndarray:
     k = int(np.argmax(np.abs(v)))
     return v if v[k] >= 0 else -v
@@ -170,34 +189,25 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
 def qse(state: DensityMatrix) -> Ellipsoid:
     """The quantum steering ellipsoid of a two-qubit state.
 
-    Computed from the canonical transform: center is the canonical Bob
-    Bloch vector, semiaxes are the singular values of the canonical T, and
-    the frame holds the principal directions of the steered set (the
-    eigenvectors of T^T T). Validated against the sampled steering map in
-    the tests.
+    Center c, semiaxes the singular values of M, frame the eigenvectors of
+    M M^T, from the whitened Pauli form. Raises GeometryViolation when the
+    exact largest radius max |c + M u| exceeds 1 + BALL_TOL.
     """
-    can = canonical_transform(state)
-    th = pauli_decompose(can)
-    t = th.T
-    w, f = np.linalg.eigh(t.T @ t)
+    c, m_mat, _ = _whiten(pauli_decompose(state))
+    w, f = np.linalg.eigh(m_mat @ m_mat.T)
     order = np.argsort(-w, kind="stable")
     semiaxes = np.sqrt(np.clip(w[order], 0.0, None))
     frame = np.column_stack([_fix_sign(f[:, j]) for j in order])
-    ell = Ellipsoid(center=th.b, semiaxes=semiaxes, frame=frame)
-    _check_inside_ball(ell)
-    return ell
-
-
-def _check_inside_ball(ell: Ellipsoid) -> None:
-    worst = float(np.linalg.norm(ell.surface_points(), axis=1).max())
+    worst = max_norm_on_sphere(c, m_mat)[0]
     if worst > 1 + BALL_TOL:
         raise GeometryViolation(
             f"ellipsoid surface reaches radius {worst:.12f}, outside the Bloch ball by more than {BALL_TOL:.0e}"
         )
+    return Ellipsoid(center=c, semiaxes=semiaxes, frame=frame)
 
 
 def steered_surface(theta: PauliForm, num: int = 1000) -> np.ndarray:
     """Steered Bloch vectors for a deterministic grid of projective m."""
-    ms = _fibonacci_sphere(num)
+    ms = fibonacci_sphere(num)
     den = np.abs(1.0 + ms @ theta.a)
     return (theta.b + ms @ theta.T) / den[:, None]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qsteer.channels import amplitude_damping, apply_on_b
 from qsteer.coherence import coherence_l1
 from qsteer.errors import (
     DimensionTooLarge,
@@ -16,10 +17,13 @@ from qsteer.msc import (
     optimal_measurement_pure,
     sphere_sequence,
 )
-from qsteer.qcore import pauli_decompose, validate_density
+from qsteer.qcore import bloch_vector, pauli_decompose, validate_density
 from qsteer.rand import (
+    random_canonical,
     random_classical,
+    random_density_matrix,
     random_product,
+    random_pure_ket,
     random_two_qubit,
     random_unitary,
 )
@@ -248,3 +252,71 @@ def test_pauli_blocks_feed_objective():
     a = pauli_decompose(fam.state).a
     assert res.value == pytest.approx(fam.analytic_msc, abs=1e-8)
     assert float(a @ res.optimal_m) < 0
+
+
+# ---------- exact trust-region step ----------
+
+
+def test_value_dominates_u_grid(rng):
+    # |P c + P M u| = |x x n| on a 20,000-point u-grid of the ellipsoid.
+    for _ in range(200):
+        st = random_two_qubit(rng)
+        res = msc_two_qubit(st)
+        b = pauli_decompose(st).b
+        grid = np.linalg.norm(np.cross(qse(st).surface_points(20000), b / np.linalg.norm(b)), axis=1).max()
+        assert res.value >= grid - 1e-12
+
+
+def test_hard_case_canonical_states(rng):
+    # a = 0 puts the center c = b on Bob's axis, so P c = 0 (the hard case)
+    # and the value is the largest singular value of P T^T.
+    for _ in range(20):
+        st = random_canonical(rng)
+        res = msc_two_qubit(st)
+        th = pauli_decompose(st)
+        n_hat = th.b / np.linalg.norm(th.b)
+        top = np.linalg.svd((np.eye(3) - np.outer(n_hat, n_hat)) @ th.T.T, compute_uv=False)[0]
+        assert res.converged
+        assert res.value == pytest.approx(top, abs=1e-12)
+
+
+def test_hard_case_pure_schmidt_states(rng):
+    # The ellipsoid is the Bloch sphere: a double top eigenvalue.
+    for lam2 in (0.55, 0.7, 0.9):
+        psi = np.array([np.sqrt(lam2), 0, 0, np.sqrt(1 - lam2)], dtype=complex)
+        u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+        st = validate_density(u @ np.outer(psi, psi.conj()) @ u.conj().T, (2, 2))
+        res = msc_two_qubit(st)
+        assert res.converged
+        assert res.value == pytest.approx(1.0, abs=1e-9)
+
+
+def test_hard_case_full_damping(rng):
+    # gamma = 1 sends Bob to |0>: M = 0 and every steered state is |0>.
+    for _ in range(5):
+        st = apply_on_b(random_two_qubit(rng), amplitude_damping(1.0))
+        res = msc_two_qubit(st)
+        assert res.converged
+        assert res.value == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(qse(st).semiaxes, 0.0, atol=1e-12)
+
+
+def _near_product(rng):
+    # (1 - eps) |psi><psi| x sigma + eps tau with 1 - |a| ~ 1e-6.
+    psi = random_pure_ket(rng, 2)
+    n = bloch_vector(np.outer(psi, psi.conj()))
+    sigma = random_density_matrix(rng, (2,)).matrix
+    tau = random_two_qubit(rng)
+    eps = 10.0 ** rng.uniform(-6.3, -5.7) / (1.0 - n @ pauli_decompose(tau).a)
+    rho = (1 - eps) * np.kron(np.outer(psi, psi.conj()), sigma) + eps * tau.matrix
+    return validate_density(rho, (2, 2))
+
+
+def test_near_product_witnesses_are_hermitian():
+    # Steering probabilities reach ~1e-7 here; the witness state must still
+    # validate at the 1e-10 Hermiticity tolerance.
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        res = msc_two_qubit(_near_product(rng))
+        assert res.converged
+        assert abs(res.value - coherence_l1(res.steered_state, res.reference_basis)) <= 1e-9

@@ -184,3 +184,32 @@ def test_cli_gen_stdout(capsys):
         np.array([[complex(re, im) for re, im in row] for row in doc["matrix"]]), doc["dims"]
     )
     assert st.dims == (2, 2)
+
+
+def test_cli_sweep_grid_counts_gamma_points_only(tmp_path):
+    # --grid sets the number of gamma points and nothing else: each row is
+    # the solver's value at default options.
+    from qsteer.channels import amplitude_damping, apply_on_b
+    from qsteer.cli import _options_from, build_parser
+    from qsteer.msc import MscOptions, msc_two_qubit
+
+    assert _options_from(build_parser().parse_args(["sweep", "--grid", "7"])) == MscOptions()
+    state = rho_p(0.5, 0.1 * np.pi).state
+    path, out = tmp_path / "s.json", tmp_path / "s.csv"
+    save_state(state, path)
+    assert main(["sweep", str(path), "--grid", "5", "--out", str(out)]) == 0
+    rows = [r.split(",") for r in out.read_text().strip().split("\n")[1:]]
+    assert len(rows) == 5
+    for g, v in rows:
+        expected = msc_two_qubit(apply_on_b(state, amplitude_damping(float(g)))).value
+        assert float(v) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+def test_cli_rejects_nan_entries(tmp_path, capsys, entry):
+    doc = state_to_dict(rho_p(0.5, np.pi / 2).state)
+    doc["matrix"][entry[0]][entry[1]] = [float("nan"), 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    assert main(["msc", str(path)]) == 2
+    assert "NaN or infinite" in capsys.readouterr().err

@@ -226,3 +226,41 @@ def test_ellipsoid_containment_helper(rng):
     assert ell.containment_violation(pts) <= 1e-9
     with pytest.raises(GeometryViolation):
         ell.surface_residual(pts)
+
+
+def test_qse_matches_canonical_transform_route(rng):
+    # qse whitens the Pauli form directly; the 4x4 canonical transform must
+    # give the same center, semiaxes and frame.
+    for _ in range(50):
+        st = random_two_qubit(rng)
+        th = pauli_decompose(canonical_transform(st))
+        w, f = np.linalg.eigh(th.T.T @ th.T)
+        order = np.argsort(-w)
+        frame = f[:, order] * np.sign(f[np.argmax(np.abs(f[:, order]), axis=0), order])
+        ell = qse(st)
+        np.testing.assert_allclose(ell.center, th.b, atol=1e-12)
+        np.testing.assert_allclose(ell.semiaxes, np.sqrt(np.clip(w[order], 0, None)), atol=1e-12)
+        np.testing.assert_allclose(ell.frame, frame, atol=1e-12)
+
+
+def test_qse_rejects_pure_alice_marginal():
+    st = validate_density(np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2), (2, 2))
+    with pytest.raises(SingularMarginal):
+        qse(st)
+
+
+def test_surface_grids_use_the_fibonacci_lattice(rng):
+    # One lattice serves the ellipsoid sample and the steered surface.
+    i = np.arange(300)
+    z = 1.0 - (2.0 * i + 1.0) / 300
+    phi = np.pi * (1.0 + 5.0**0.5) * i
+    lattice = np.stack([np.sqrt(1.0 - z * z) * np.cos(phi), np.sqrt(1.0 - z * z) * np.sin(phi), z], axis=1)
+    st = random_two_qubit(rng)
+    th = pauli_decompose(st)
+    ell = qse(st)
+    np.testing.assert_array_equal(
+        ell.surface_points(300), ell.center + (ell.frame @ (ell.semiaxes[:, None] * lattice.T)).T
+    )
+    np.testing.assert_array_equal(
+        steered_surface(th, 300), (th.b + lattice @ th.T) / np.abs(1.0 + lattice @ th.a)[:, None]
+    )
