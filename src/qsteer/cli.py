@@ -21,7 +21,7 @@ import numpy as np
 
 from .channels import amplitude_damping, apply_on_b, unital_pauli
 from .errors import QsteerError
-from .msc import MscOptions, msc_general, msc_two_qubit
+from .msc import msc_general, msc_two_qubit
 from .qcore import DensityMatrix, bloch_vector, partial_trace
 from .statefile import load_state, save_state
 from .states import (
@@ -116,23 +116,13 @@ def _add_family_flags(p: argparse.ArgumentParser, with_path: bool = True) -> Non
     p.add_argument("--anti", type=str, help="comma-separated anti-diagonal complex entries (x-state)")
 
 
-def _options_from(args) -> MscOptions:
-    kw = {}
-    if getattr(args, "tol", None):
-        kw["fatol"] = args.tol
-    if getattr(args, "seed", None) is not None:
-        kw["seed"] = args.seed
-    return MscOptions(**kw)
-
-
 def _fmt_vec(v) -> str:
     return "(" + ", ".join(f"{x:.9f}" for x in np.asarray(v).ravel()) + ")"
 
 
 def cmd_msc(args) -> int:
     state = _resolve_state(args)
-    opts = _options_from(args)
-    result = msc_two_qubit(state, opts) if state.dims == (2, 2) else msc_general(state, opts)
+    result = msc_two_qubit(state) if state.dims == (2, 2) else msc_general(state)
     steered_b = bloch_vector(result.steered_state.matrix) if result.steered_state.dim == 2 else None
     print(f"msc value:          {result.value:.9f}")
     if result.optimal_m.ndim == 1 and result.optimal_m.shape == (3,) and not np.iscomplexobj(result.optimal_m):
@@ -176,12 +166,11 @@ def cmd_sweep(args) -> int:
             scaled = [1 - gamma + gamma * es[0], gamma * es[1], gamma * es[2], gamma * es[3]]
             return unital_pauli(*scaled)
 
-    opts = _options_from(args)
     gammas = np.linspace(0.0, 1.0, args.grid)
     rows = ["gamma,msc"]
     for g in gammas:
         out = apply_on_b(state, make(float(g)))
-        res = msc_two_qubit(out, opts) if out.dims == (2, 2) else msc_general(out, opts)
+        res = msc_two_qubit(out) if out.dims == (2, 2) else msc_general(out)
         if not res.converged:
             print(f"optimizer did not converge at gamma={g}", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
@@ -225,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_msc = sub.add_parser("msc", help="maximal steered coherence of a state")
     _add_family_flags(p_msc)
-    p_msc.add_argument("--tol", type=float, help="optimizer objective tolerance")
-    p_msc.add_argument("--seed", type=int, help="seed for randomized starts")
     p_msc.set_defaults(fn=cmd_msc)
 
     p_qse = sub.add_parser("qse", help="steering ellipsoid of a two-qubit state")
@@ -238,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--channel", choices=["amplitude-damping", "unital"], default="amplitude-damping")
     p_sweep.add_argument("--e", type=str, help="unital mixture weights e0,e1,e2,e3")
     p_sweep.add_argument("--grid", type=int, default=101, help="number of gamma points")
-    p_sweep.add_argument("--tol", type=float, help="optimizer objective tolerance")
-    p_sweep.add_argument("--seed", type=int, help="seed for randomized starts")
     p_sweep.add_argument("--out", type=str, help="CSV output path (default stdout)")
     p_sweep.set_defaults(fn=cmd_sweep)
 

@@ -12,7 +12,12 @@ The general-dimension path maximizes the l1 coherence of the steered state
 over rank-one POVM elements |psi><psi| on Alice's side; for a fixed
 reference basis the steered state of any POVM element is an outcome-weighted
 convex mixture of rank-one steered states and the l1 coherence is convex in
-the state, so rank-one elements suffice.
+the state, so rank-one elements suffice. Whitened by rho_A's support, the
+coherence becomes 2 sum_p |phi^dag A_p phi| over unit phi, whose maximum
+is the largest lambda_max(H(w)) over phase vectors w (phase lifting); an
+ascent that alternates the exact best w and the exact best phi climbs it
+from a batch of seeded starts. Degenerate marginals add a Nelder-Mead
+search for the infimum over the block-unitary basis freedom.
 
 msc_oracle is an independent grid brute force used to validate both paths.
 """
@@ -39,35 +44,43 @@ from .qcore import (
     PAULIS,
     SIGMA_0,
     bloch_basis,
+    degenerate_blocks,
     eigen_hermitian,
     fibonacci_sphere,
     ket_dm,
     partial_trace,
     pauli_decompose,
 )
-from .steering import ZERO_PROBABILITY_TOL, _steer_raw, _whiten, steer
+from .steering import SINGULAR_MARGINAL_TOL, ZERO_PROBABILITY_TOL, _whiten, steer
 
 TRIVIAL_A_TOL = 1e-9
+# The general path's eigen-ascent: seeded starts run as one batch, until
+# every start's lambda rises by at most ASCENT_RTOL * max(1, lambda) in one
+# step (roundoff makes a settled lambda jitter by ~1e-15), or ASCENT_MAXITER
+# steps.
+ASCENT_STARTS = 32
+ASCENT_MAXITER = 1000
+ASCENT_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
 class MscOptions:
-    """Thresholds, outer-search budgets and general-path simplex budgets."""
+    """Degeneracy thresholds, the budgets of the two outer (infimum over
+    bases) searches, and the seed of the general path's random starts.
 
-    xatol: float = 1e-10
-    fatol: float = 1e-13
+    The two-qubit path's inner step and the general path's eigen-ascent are
+    exact and take no options; the ascent's start count, iteration cap and
+    stop test are the module constants ASCENT_*.
+    """
+
     degenerate_tol: float = 1e-9
     near_degenerate_tol: float = 1e-4
     outer_grid: int = 72
     outer_levels: int = 10
     outer_cap_points: int = 20
-    general_starts: int = 48
-    general_refine_starts: int = 3
-    general_maxiter: int = 500
     outer_general_starts: int = 3
     outer_general_maxiter: int = 60
     seed: int = 7
-    zero_prob: float = ZERO_PROBABILITY_TOL
 
 
 DEFAULT_OPTIONS = MscOptions()
@@ -222,93 +235,51 @@ def msc_two_qubit(state: DensityMatrix, opts: MscOptions = DEFAULT_OPTIONS) -> M
 # ---------- general-dimension path ----------
 
 
-def _psi_from_params(x, d: int):
-    x = np.asarray(x, dtype=float)
-    psi = x[:d] + 1j * x[d:]
-    nrm = np.linalg.norm(psi)
-    if nrm < 1e-8:
-        return None
-    return psi / nrm
+def _whitened_blocks(rho4: np.ndarray, dims, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whitened pair blocks A_p = R^dag K_p R, p = (i < j), and the map R.
+
+    Alice's ket psi steers to pm_ij = psi^dag K_ij psi in the reference basis
+    V, K_ij[c, a] = sum_{b,d} conj(V_bi) rho[(c, b), (a, d)] V_dj, with
+    probability psi^dag rho_A psi. R = U diag(w^-1/2) over the eigenvalues
+    w of rho_A above SINGULAR_MARGINAL_TOL spans rho_A's support (kets
+    outside it steer nothing), so psi = R phi has probability |phi|^2.
+    """
+    da, db = dims
+    r = rho4.reshape(da, db, da, db)
+    w, u = np.linalg.eigh(np.einsum("ibjb->ij", r))
+    keep = w > SINGULAR_MARGINAL_TOL
+    whiten = u[:, keep] * w[keep] ** -0.5
+    iu, ju = np.triu_indices(db, 1)
+    k = np.einsum("bi,cbad,dj->ijca", vectors.conj(), r, vectors)[iu, ju]
+    return np.einsum("ca,pcd,de->pae", whiten.conj(), k, whiten), whiten
 
 
-def _make_rank1_objective(rho4, dims, vectors, zero_prob):
-    da = dims[0]
-    vh = vectors.conj().T
+def _maximize_rank1(rho4: np.ndarray, dims, vectors: np.ndarray, seed: int):
+    """Largest steered coherence over Alice's kets in basis V; returns (value, psi, converged).
 
-    def value_of_psi(psi):
-        s, p = _steer_raw(rho4, np.outer(psi, psi.conj()), dims)
-        if p <= zero_prob:
-            return 0.0
-        pm = vh @ s @ vectors
-        return float((np.abs(pm).sum() - np.abs(np.diagonal(pm)).sum()) / p)
-
-    def neg(x):
-        psi = _psi_from_params(x, da)
-        if psi is None:
-            return 0.0
-        return -value_of_psi(psi)
-
-    return neg, value_of_psi
-
-
-def _qubit_ket(m) -> np.ndarray:
-    th = math.acos(float(np.clip(m[2], -1, 1)))
-    ph = math.atan2(m[1], m[0])
-    return np.array([math.cos(th / 2), math.sin(th / 2) * (math.cos(ph) + 1j * math.sin(ph))])
-
-
-def _maximize_rank1(rho4, dims, vectors, opts: MscOptions, starts=None, refine=None, maxiter=None, polish=True):
-    da = dims[0]
-    refine = opts.general_refine_starts if refine is None else refine
-    maxiter = opts.general_maxiter if maxiter is None else maxiter
-    neg, value_of_psi = _make_rank1_objective(rho4, dims, vectors, opts.zero_prob)
-
-    if starts is None:
-        if da == 2:
-            kets = [_qubit_ket(m) for m in fibonacci_sphere(32)]
-        else:
-            rng = np.random.default_rng(opts.seed)
-            kets = list(
-                rng.standard_normal((opts.general_starts, da)) + 1j * rng.standard_normal((opts.general_starts, da))
-            )
-        starts = [np.concatenate([k.real, k.imag]) for k in kets]
-
-    start_vals = [neg(x) for x in starts]
-    order = np.argsort(start_vals, kind="stable")
-
-    best_x = starts[order[0]]
-    best_f = start_vals[order[0]]
-    best_conv = True
-    for idx in order[:refine]:
-        x, fx, conv = nelder_mead(neg, starts[idx], step=0.3, xatol=opts.xatol, fatol=opts.fatol, maxiter=maxiter)
-        if fx < best_f:
-            best_f = fx
-            best_x = x
-            best_conv = conv
-    if polish:
-        # Fresh small simplexes cure anisotropic collapse near the maximum.
-        for step in (0.02, 0.002):
-            x, fx, conv = nelder_mead(neg, best_x, step=step, xatol=opts.xatol, fatol=opts.fatol, maxiter=maxiter)
-            if fx < best_f:
-                best_f = fx
-                best_x = x
-                best_conv = conv
-    psi = _psi_from_params(best_x, da)
-    return -best_f, psi, best_conv
-
-
-def _degenerate_blocks(eigenvalues: np.ndarray, tol: float):
-    blocks = []
-    i = 0
-    n = len(eigenvalues)
-    while i < n:
-        j = i + 1
-        while j < n and abs(eigenvalues[j - 1] - eigenvalues[j]) < tol:
-            j += 1
-        if j - i > 1:
-            blocks.append(list(range(i, j)))
-        i = j
-    return blocks
+    The coherence of psi = R phi (unit phi) is 2 sum_p |phi^dag A_p phi|,
+    and 2|z| = max over unit w of (conj(w) z + w conj(z)), so the maximum
+    is the largest lambda_max(H(w)), H(w) = sum_p (conj(w_p) A_p + w_p A_p^dag).
+    Two exact steps alternate and never lower lambda: w_p = phase(phi^dag
+    A_p phi), then phi = the top eigenvector of H(w). ASCENT_STARTS seeded
+    starts run as one batch; converged is the winner's stop test.
+    """
+    a, whiten = _whitened_blocks(rho4, dims, vectors)
+    rng = np.random.default_rng(seed)
+    shape = (ASCENT_STARTS, whiten.shape[1])
+    phi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    lam = np.full(ASCENT_STARTS, -np.inf)
+    for _ in range(ASCENT_MAXITER):
+        w = np.exp(1j * np.angle(np.einsum("sa,pab,sb->sp", phi.conj(), a, phi)))
+        h = np.einsum("sp,pab->sab", w.conj(), a)
+        vals, vecs = np.linalg.eigh(h + h.conj().transpose(0, 2, 1))
+        settled = vals[:, -1] - lam <= ASCENT_RTOL * np.maximum(1.0, vals[:, -1])
+        lam, phi = vals[:, -1], vecs[:, :, -1]
+        if settled.all():
+            break
+    best = int(np.argmax(lam))
+    psi = whiten @ phi[best]
+    return float(lam[best]), psi / np.linalg.norm(psi), bool(settled[best])
 
 
 def _expm_i_hermitian(h: np.ndarray) -> np.ndarray:
@@ -343,9 +314,10 @@ def msc_general(state: DensityMatrix, opts: MscOptions = DEFAULT_OPTIONS) -> Msc
     """Maximal steered coherence for bipartite states with dimensions <= 4.
 
     Maximizes the steered l1 coherence in the eigenbasis of Bob's marginal
-    over rank-one POVM elements. Degenerate marginals trigger an infimum
-    over the eigenbasis freedom of every degenerate subspace, parameterized
-    by unitaries exp(iH) on those blocks.
+    over rank-one POVM elements by the phase-lifted eigen-ascent. Degenerate
+    marginals trigger an infimum over the eigenbasis freedom of every
+    degenerate subspace, parameterized by unitaries exp(iH) on those blocks.
+    The value is the coherence of the witness steered state.
     """
     if not state.is_bipartite:
         raise NotBipartite(f"need a bipartite state, got dims {state.dims}")
@@ -355,50 +327,36 @@ def msc_general(state: DensityMatrix, opts: MscOptions = DEFAULT_OPTIONS) -> Msc
     eigs, basis = eigen_hermitian(partial_trace(state, 1).matrix, opts.degenerate_tol)
     rho4 = state.matrix
 
-    if not basis.degenerate:
-        value, psi, converged = _maximize_rank1(rho4, state.dims, basis.vectors, opts)
-        ref = basis
-    else:
-        blocks = _degenerate_blocks(eigs, opts.degenerate_tol)
+    ref = basis
+    if basis.degenerate:
+        blocks = degenerate_blocks(eigs, opts.degenerate_tol)
         n_params = sum(len(b) ** 2 for b in blocks)
         rng = np.random.default_rng(opts.seed)
         outer_starts = [np.zeros(n_params)] + [
             rng.uniform(-np.pi, np.pi, n_params) for _ in range(opts.outer_general_starts - 1)
         ]
-        if da == 2:
-            scan_kets = [_qubit_ket(m) for m in fibonacci_sphere(16)]
-        else:
-            scan_kets = list(
-                rng.standard_normal((24, da)) + 1j * rng.standard_normal((24, da))
-            )
-        scan_starts = [np.concatenate([k.real, k.imag]) for k in scan_kets]
 
-        def outer_neg_of(y):
-            vecs = _rotated_vectors(basis.vectors, blocks, y)
-            val, _, _ = _maximize_rank1(
-                rho4, state.dims, vecs, opts, starts=scan_starts, refine=1, maxiter=120, polish=False
-            )
-            return val
+        def inner_value(y):
+            return _maximize_rank1(rho4, state.dims, _rotated_vectors(basis.vectors, blocks, y), opts.seed)[0]
 
         # Multistart simplex search over the generator entries; the cap on
-        # outer iterations is routine (the final value comes from the full
-        # inner run below), so it does not mark the result unconverged.
+        # outer iterations is routine (the final value comes from the inner
+        # solve below), so it does not mark the result unconverged.
         best_y = outer_starts[0]
-        best_outer = outer_neg_of(best_y)
+        best_outer = inner_value(best_y)
         for y0 in outer_starts:
             y, fy, _ = nelder_mead(
-                outer_neg_of, y0, step=0.4, xatol=1e-4, fatol=1e-6, maxiter=opts.outer_general_maxiter
+                inner_value, y0, step=0.4, xatol=1e-4, fatol=1e-6, maxiter=opts.outer_general_maxiter
             )
             if fy < best_outer:
                 best_outer = fy
                 best_y = y
-        vecs = _rotated_vectors(basis.vectors, blocks, best_y)
-        ref = Basis(vectors=vecs, degenerate=True)
-        value, psi, converged = _maximize_rank1(rho4, state.dims, vecs, opts)
+        ref = Basis(vectors=_rotated_vectors(basis.vectors, blocks, best_y), degenerate=True)
 
-    steered, _ = steer(state, np.outer(psi, psi.conj()))
+    _, psi, converged = _maximize_rank1(rho4, state.dims, ref.vectors, opts.seed)
+    steered, _ = steer(state, ket_dm(psi))
     return MscResult(
-        value=value,
+        value=coherence_l1(steered, ref),
         optimal_m=psi,
         steered_state=steered,
         reference_basis=ref,

@@ -1,7 +1,8 @@
 """Small dependency-free optimizers, deterministic for fixed inputs.
 
-A Nelder-Mead simplex on plain Python floats for the general path's 4-8
-dimensional objectives, bisection, and an exact trust-region step for the
+A Nelder-Mead simplex on plain Python floats for the general path's outer
+search over the basis freedom of a degenerate marginal, bisection, and an
+exact trust-region step for the
 two-qubit path's inner problem: the largest |g + A u| over unit u.
 """
 

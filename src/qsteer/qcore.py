@@ -170,6 +170,17 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v / ph
 
 
+def degenerate_blocks(eigenvalues: np.ndarray, tol: float) -> list[list[int]]:
+    """Index runs of two or more sorted eigenvalues whose adjacent gaps are below tol."""
+    blocks, start = [], 0
+    for i in range(1, len(eigenvalues) + 1):
+        if i == len(eigenvalues) or abs(eigenvalues[i - 1] - eigenvalues[i]) >= tol:
+            if i - start > 1:
+                blocks.append(list(range(start, i)))
+            start = i
+    return blocks
+
+
 def eigen_hermitian(h: np.ndarray, tol_degenerate: float = DEGENERACY_TOL):
     """Eigendecomposition of a Hermitian matrix.
 
@@ -189,21 +200,13 @@ def eigen_hermitian(h: np.ndarray, tol_degenerate: float = DEGENERACY_TOL):
     vecs = np.column_stack([_fix_phase(v[:, i]) for i in range(v.shape[1])])
 
     # Deterministic ordering inside (near-)degenerate groups.
-    i = 0
-    n = len(w)
-    while i < n:
-        j = i + 1
-        while j < n and abs(w[j - 1] - w[j]) < tol_degenerate:
-            j += 1
-        if j - i > 1:
-            keys = [tuple(np.round(np.concatenate([vecs[:, k].real, vecs[:, k].imag]), 12)) for k in range(i, j)]
-            sub = sorted(range(i, j), key=lambda k: keys[k - i])
-            vecs[:, i:j] = vecs[:, sub]
-        i = j
+    def key(k):
+        return tuple(np.round(np.concatenate([vecs[:, k].real, vecs[:, k].imag]), 12))
 
-    gaps = -np.diff(w)
-    degenerate = bool(n > 1 and gaps.min() < tol_degenerate)
-    return w, Basis(vectors=vecs, degenerate=degenerate)
+    blocks = degenerate_blocks(w, tol_degenerate)
+    for blk in blocks:
+        vecs[:, blk] = vecs[:, sorted(blk, key=key)]
+    return w, Basis(vectors=vecs, degenerate=bool(blocks))
 
 
 def pauli_decompose(state: DensityMatrix) -> PauliForm:

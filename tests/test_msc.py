@@ -105,7 +105,36 @@ def test_degenerate_bell_diagonal_middle_value(rng):
 def test_general_agrees_with_two_qubit(rng):
     for _ in range(200):
         st = random_two_qubit(rng)
-        assert abs(msc_general(st).value - msc_two_qubit(st).value) <= 1e-6
+        assert abs(msc_general(st).value - msc_two_qubit(st).value) <= 1e-12
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3)])
+def test_general_dominates_oracle_on_mixed_qudits(rng, dims):
+    for _ in range(30):
+        st = random_density_matrix(rng, dims)
+        res = msc_general(st)
+        assert res.converged
+        assert res.value >= msc_oracle(st, 3000, basis=res.reference_basis) - 1e-9
+        assert abs(res.value - coherence_l1(res.steered_state, res.reference_basis)) <= 1e-9
+
+
+def test_general_converges_on_4x4(rng):
+    for _ in range(10):
+        res = msc_general(random_density_matrix(rng, (4, 4)))
+        assert res.converged
+        assert abs(res.value - coherence_l1(res.steered_state, res.reference_basis)) <= 1e-9
+
+
+def test_general_rank_deficient_alice_marginal(rng):
+    # A qubit embedded in a qutrit by an isometry W: rho_A has rank 2, the
+    # kets outside its support steer nothing, and the value is the 2x3 one.
+    for _ in range(5):
+        st = random_density_matrix(rng, (2, 3))
+        w = np.kron(random_unitary(rng, 3)[:, :2], np.eye(3))
+        embedded = validate_density(w @ st.matrix @ w.conj().T, (3, 3))
+        res = msc_general(embedded)
+        assert res.converged
+        assert res.value == pytest.approx(msc_general(st).value, abs=1e-12)
 
 
 def test_general_product_state(rng):
@@ -137,6 +166,15 @@ def test_general_degenerate_werner():
     res = msc_general(werner(0.6).state, opts)
     assert res.degenerate_path
     assert res.value == pytest.approx(0.6, abs=1e-3)
+
+
+def test_general_degenerate_isotropic_qutrit():
+    # Every basis gives (d - 1) p by U x conj(U) covariance.
+    phi = np.eye(3).reshape(-1) / np.sqrt(3)
+    res = msc_general(validate_density(0.5 * np.outer(phi, phi) + 0.5 * np.eye(9) / 9, (3, 3)))
+    assert res.degenerate_path
+    assert res.converged
+    assert res.value == pytest.approx(1.0, abs=1e-12)
 
 
 def _steer_by_hand(psi, m_op, da, db):

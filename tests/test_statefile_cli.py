@@ -151,8 +151,8 @@ def test_cli_nonconvergence_exit_code(monkeypatch, capsys):
 
     real = cli.msc_two_qubit
 
-    def fake(state, opts):
-        return dataclasses.replace(real(state, opts), converged=False)
+    def fake(state, *args):
+        return dataclasses.replace(real(state, *args), converged=False)
 
     monkeypatch.setattr(cli, "msc_two_qubit", fake)
     assert main(["msc", "--family", "werner", "--p", "0.5"]) == 3
@@ -190,10 +190,8 @@ def test_cli_sweep_grid_counts_gamma_points_only(tmp_path):
     # --grid sets the number of gamma points and nothing else: each row is
     # the solver's value at default options.
     from qsteer.channels import amplitude_damping, apply_on_b
-    from qsteer.cli import _options_from, build_parser
-    from qsteer.msc import MscOptions, msc_two_qubit
+    from qsteer.msc import msc_two_qubit
 
-    assert _options_from(build_parser().parse_args(["sweep", "--grid", "7"])) == MscOptions()
     state = rho_p(0.5, 0.1 * np.pi).state
     path, out = tmp_path / "s.json", tmp_path / "s.csv"
     save_state(state, path)
@@ -203,6 +201,13 @@ def test_cli_sweep_grid_counts_gamma_points_only(tmp_path):
     for g, v in rows:
         expected = msc_two_qubit(apply_on_b(state, amplitude_damping(float(g)))).value
         assert float(v) == pytest.approx(expected, abs=1e-12)
+
+
+def test_cli_msc_converges_on_4x4(rng, tmp_path, capsys):
+    path = tmp_path / "s.json"
+    save_state(random_density_matrix(rng, (4, 4)), path)
+    assert main(["msc", str(path)]) == 0
+    assert "msc value:" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
