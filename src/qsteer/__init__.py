@@ -23,7 +23,6 @@ from .channels import (
 from .coherence import coherence_bloch, coherence_l1
 from .errors import QsteerError, ValidationError
 from .msc import (
-    MscOptions,
     MscResult,
     msc_general,
     msc_oracle,
@@ -75,7 +74,6 @@ __all__ = [
     "DensityMatrix",
     "Ellipsoid",
     "KrausChannel",
-    "MscOptions",
     "MscResult",
     "PauliForm",
     "QsteerError",

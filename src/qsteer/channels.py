@@ -138,25 +138,19 @@ def apply_on_b(state: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
     return validate_density(out, state.dims)
 
 
-def _swap_matrix(d: int) -> np.ndarray:
-    s = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            s[j * d + i, i * d + j] = 1.0
-    return s
-
-
 def apply_on_a(state: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
-    """Apply a channel to Alice's side, by swap / apply_on_b / swap back."""
+    """Apply a channel to Alice's side: sum_i (E_i x 1) rho (E_i^dag x 1)."""
+    if not state.is_bipartite:
+        raise DimensionMismatch(f"need a bipartite state, got dims {state.dims}")
     da, db = state.dims
-    if da != db:
-        raise DimensionMismatch(f"swap-based application needs equal dimensions, got {state.dims}")
     if channel.dim != da:
         raise DimensionMismatch(f"channel dimension {channel.dim} != Alice dimension {da}")
-    s = _swap_matrix(da)
-    swapped = DensityMatrix(dims=(db, da), matrix=s @ state.matrix @ s.T)
-    applied = apply_on_b(swapped, channel)
-    return validate_density(s @ applied.matrix @ s.T, state.dims)
+    eye_b = np.eye(db)
+    out = np.zeros_like(state.matrix)
+    for e in channel.kraus_ops:
+        u = np.kron(e, eye_b)
+        out += u @ state.matrix @ dag(u)
+    return validate_density(out, state.dims)
 
 
 def bloch_affine(channel: KrausChannel) -> tuple[np.ndarray, np.ndarray]:

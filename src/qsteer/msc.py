@@ -19,6 +19,11 @@ ascent that alternates the exact best w and the exact best phi climbs it
 from a batch of seeded starts. Degenerate marginals add a Nelder-Mead
 search for the infimum over the block-unitary basis freedom.
 
+Both solvers take only a state. Both call Bob's marginal degenerate at one
+threshold, qcore.DEGENERACY_TOL: the two-qubit path tests |b| and the
+general path the gaps between rho_B's eigenvalues, and for a qubit that gap
+is |b|. The outer searches' budgets and the seed are module constants.
+
 msc_oracle is an independent grid brute force used to validate both paths.
 """
 
@@ -40,8 +45,10 @@ from .errors import (
 from .optimize import max_norm_on_sphere, nelder_mead
 from .qcore import (
     Basis,
+    DEGENERACY_TOL,
     DensityMatrix,
     PAULIS,
+    SCHMIDT_FLOOR,
     SIGMA_0,
     bloch_basis,
     degenerate_blocks,
@@ -50,10 +57,23 @@ from .qcore import (
     ket_dm,
     partial_trace,
     pauli_decompose,
+    unit_perpendicular,
 )
 from .steering import SINGULAR_MARGINAL_TOL, ZERO_PROBABILITY_TOL, _whiten, steer
 
 TRIVIAL_A_TOL = 1e-9
+# Above DEGENERACY_TOL, a |b| below this still gets a warning: the reference
+# basis along b is ill-conditioned.
+NEAR_DEGENERATE_TOL = 1e-4
+# The two-qubit infimum over basis axes: a hemisphere scan of OUTER_GRID
+# axes, then OUTER_LEVELS shrinking caps of OUTER_CAP_POINTS axes each.
+OUTER_GRID = 72
+OUTER_LEVELS = 10
+OUTER_CAP_POINTS = 20
+# The general path's infimum over block unitaries: OUTER_GENERAL_STARTS
+# Nelder-Mead runs of at most OUTER_GENERAL_MAXITER steps.
+OUTER_GENERAL_STARTS = 3
+OUTER_GENERAL_MAXITER = 60
 # The general path's eigen-ascent: seeded starts run as one batch, until
 # every start's lambda rises by at most ASCENT_RTOL * max(1, lambda) in one
 # step (roundoff makes a settled lambda jitter by ~1e-15), or ASCENT_MAXITER
@@ -61,29 +81,8 @@ TRIVIAL_A_TOL = 1e-9
 ASCENT_STARTS = 32
 ASCENT_MAXITER = 1000
 ASCENT_RTOL = 1e-14
-
-
-@dataclass(frozen=True)
-class MscOptions:
-    """Degeneracy thresholds, the budgets of the two outer (infimum over
-    bases) searches, and the seed of the general path's random starts.
-
-    The two-qubit path's inner step and the general path's eigen-ascent are
-    exact and take no options; the ascent's start count, iteration cap and
-    stop test are the module constants ASCENT_*.
-    """
-
-    degenerate_tol: float = 1e-9
-    near_degenerate_tol: float = 1e-4
-    outer_grid: int = 72
-    outer_levels: int = 10
-    outer_cap_points: int = 20
-    outer_general_starts: int = 3
-    outer_general_maxiter: int = 60
-    seed: int = 7
-
-
-DEFAULT_OPTIONS = MscOptions()
+# Seeds the ascent's starts and the outer Nelder-Mead's random starts.
+SEED = 7
 
 
 @dataclass(frozen=True)
@@ -143,10 +142,7 @@ def _inner(c, m_mat, n_hat):
 
 def _cap_grid(center: np.ndarray, radius: float, k: int) -> np.ndarray:
     # Deterministic spiral of k directions inside the spherical cap.
-    e1 = np.cross(center, [1.0, 0.0, 0.0])
-    if np.linalg.norm(e1) < 1e-6:
-        e1 = np.cross(center, [0.0, 1.0, 0.0])
-    e1 /= np.linalg.norm(e1)
+    e1 = unit_perpendicular(center)
     e2 = np.cross(center, e1)
     i = np.arange(k)
     r = radius * np.sqrt((i + 0.5) / k)
@@ -156,7 +152,7 @@ def _cap_grid(center: np.ndarray, radius: float, k: int) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1)[:, None]
 
 
-def _minimax(c, m_mat, opts: MscOptions):
+def _minimax(c, m_mat):
     """inf over basis axes n of the inner maximum; returns (n, u, converged)."""
 
     def solve(n_hat):
@@ -169,20 +165,20 @@ def _minimax(c, m_mat, opts: MscOptions):
     # n and -n give the same basis, so scan one hemisphere; the outer
     # objective is a max of branches (kinked at the minimum), so refine by
     # shrinking-cap grids around the incumbent instead of a simplex.
-    grid = fibonacci_sphere(2 * opts.outer_grid)
-    best = lowest([solve(n_hat) for n_hat in grid[grid[:, 2] >= 0][: opts.outer_grid]])
-    radius = 2.2 / math.sqrt(opts.outer_grid)
-    for _ in range(opts.outer_levels):
-        best = lowest([best] + [solve(n_hat) for n_hat in _cap_grid(best[1], radius, opts.outer_cap_points)])
+    grid = fibonacci_sphere(2 * OUTER_GRID)
+    best = lowest([solve(n_hat) for n_hat in grid[grid[:, 2] >= 0][:OUTER_GRID]])
+    radius = 2.2 / math.sqrt(OUTER_GRID)
+    for _ in range(OUTER_LEVELS):
+        best = lowest([best] + [solve(n_hat) for n_hat in _cap_grid(best[1], radius, OUTER_CAP_POINTS)])
         radius *= 0.4
     return best[1:]
 
 
-def msc_two_qubit(state: DensityMatrix, opts: MscOptions = DEFAULT_OPTIONS) -> MscResult:
+def msc_two_qubit(state: DensityMatrix) -> MscResult:
     """Maximal steered coherence of a two-qubit state with a witness.
 
     Routes to the infimum branch automatically when Bob's marginal is
-    degenerate (|b| below opts.degenerate_tol). Raises TrivialProductState
+    degenerate (|b| below DEGENERACY_TOL). Raises TrivialProductState
     when Alice's marginal is pure (|a| = 1), where steering is trivial. The
     value is the coherence of the witness steered state, built from the
     exact trust-region optimum, in the returned reference basis.
@@ -201,14 +197,14 @@ def msc_two_qubit(state: DensityMatrix, opts: MscOptions = DEFAULT_OPTIONS) -> M
     b_norm = float(np.linalg.norm(b))
     warnings: tuple[str, ...] = ()
 
-    if b_norm < opts.degenerate_tol:
-        n_hat, u, converged = _minimax(c, m_mat, opts)
+    if b_norm < DEGENERACY_TOL:
+        n_hat, u, converged = _minimax(c, m_mat)
         degenerate = True
     else:
-        if b_norm < opts.near_degenerate_tol:
+        if b_norm < NEAR_DEGENERATE_TOL:
             warnings = (
                 f"|b| = {b_norm:.3e} is between the degeneracy tolerance and "
-                f"{opts.near_degenerate_tol:.0e}: the reference basis is ill-conditioned",
+                f"{NEAR_DEGENERATE_TOL:.0e}: the reference basis is ill-conditioned",
             )
         # The eigenbasis of rho_B = (1 + b.sigma)/2, taken from the unit axis:
         # an eigensolve of rho_B itself loses digits as its gap |b| shrinks.
@@ -254,7 +250,7 @@ def _whitened_blocks(rho4: np.ndarray, dims, vectors: np.ndarray) -> tuple[np.nd
     return np.einsum("ca,pcd,de->pae", whiten.conj(), k, whiten), whiten
 
 
-def _maximize_rank1(rho4: np.ndarray, dims, vectors: np.ndarray, seed: int):
+def _maximize_rank1(rho4: np.ndarray, dims, vectors: np.ndarray):
     """Largest steered coherence over Alice's kets in basis V; returns (value, psi, converged).
 
     The coherence of psi = R phi (unit phi) is 2 sum_p |phi^dag A_p phi|,
@@ -265,7 +261,7 @@ def _maximize_rank1(rho4: np.ndarray, dims, vectors: np.ndarray, seed: int):
     starts run as one batch; converged is the winner's stop test.
     """
     a, whiten = _whitened_blocks(rho4, dims, vectors)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     shape = (ASCENT_STARTS, whiten.shape[1])
     phi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     lam = np.full(ASCENT_STARTS, -np.inf)
@@ -310,7 +306,7 @@ def _rotated_vectors(vectors: np.ndarray, blocks, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def msc_general(state: DensityMatrix, opts: MscOptions = DEFAULT_OPTIONS) -> MscResult:
+def msc_general(state: DensityMatrix) -> MscResult:
     """Maximal steered coherence for bipartite states with dimensions <= 4.
 
     Maximizes the steered l1 coherence in the eigenbasis of Bob's marginal
@@ -324,20 +320,20 @@ def msc_general(state: DensityMatrix, opts: MscOptions = DEFAULT_OPTIONS) -> Msc
     da, db = state.dims
     if da > 4 or db > 4:
         raise DimensionTooLarge(f"general path supports subsystem dimensions <= 4, got {state.dims}")
-    eigs, basis = eigen_hermitian(partial_trace(state, 1).matrix, opts.degenerate_tol)
+    eigs, basis = eigen_hermitian(partial_trace(state, 1).matrix)
     rho4 = state.matrix
 
     ref = basis
     if basis.degenerate:
-        blocks = degenerate_blocks(eigs, opts.degenerate_tol)
+        blocks = degenerate_blocks(eigs, DEGENERACY_TOL)
         n_params = sum(len(b) ** 2 for b in blocks)
-        rng = np.random.default_rng(opts.seed)
+        rng = np.random.default_rng(SEED)
         outer_starts = [np.zeros(n_params)] + [
-            rng.uniform(-np.pi, np.pi, n_params) for _ in range(opts.outer_general_starts - 1)
+            rng.uniform(-np.pi, np.pi, n_params) for _ in range(OUTER_GENERAL_STARTS - 1)
         ]
 
         def inner_value(y):
-            return _maximize_rank1(rho4, state.dims, _rotated_vectors(basis.vectors, blocks, y), opts.seed)[0]
+            return _maximize_rank1(rho4, state.dims, _rotated_vectors(basis.vectors, blocks, y))[0]
 
         # Multistart simplex search over the generator entries; the cap on
         # outer iterations is routine (the final value comes from the inner
@@ -346,14 +342,14 @@ def msc_general(state: DensityMatrix, opts: MscOptions = DEFAULT_OPTIONS) -> Msc
         best_outer = inner_value(best_y)
         for y0 in outer_starts:
             y, fy, _ = nelder_mead(
-                inner_value, y0, step=0.4, xatol=1e-4, fatol=1e-6, maxiter=opts.outer_general_maxiter
+                inner_value, y0, step=0.4, xatol=1e-4, fatol=1e-6, maxiter=OUTER_GENERAL_MAXITER
             )
             if fy < best_outer:
                 best_outer = fy
                 best_y = y
         ref = Basis(vectors=_rotated_vectors(basis.vectors, blocks, best_y), degenerate=True)
 
-    _, psi, converged = _maximize_rank1(rho4, state.dims, ref.vectors, opts.seed)
+    _, psi, converged = _maximize_rank1(rho4, state.dims, ref.vectors)
     steered, _ = steer(state, ket_dm(psi))
     return MscResult(
         value=coherence_l1(steered, ref),
@@ -374,7 +370,7 @@ def optimal_measurement_pure(psi, dims) -> np.ndarray:
 
     The element projects onto the inverse-Schmidt-weighted superposition of
     Alice's Schmidt vectors. Raises RankDeficientSchmidt when any Schmidt
-    coefficient falls below 1e-8.
+    coefficient falls below SCHMIDT_FLOOR.
     """
     psi = np.asarray(psi, dtype=complex)
     da, db = (int(d) for d in dims)
@@ -383,9 +379,9 @@ def optimal_measurement_pure(psi, dims) -> np.ndarray:
     psi = psi / np.linalg.norm(psi)
     u, s, _ = np.linalg.svd(psi.reshape(da, db))
     r = min(da, db)
-    if s[:r].min() < 1e-8:
+    if s[:r].min() < SCHMIDT_FLOOR:
         raise RankDeficientSchmidt(
-            f"smallest Schmidt coefficient {s[:r].min():.3e} below tolerance 1e-8"
+            f"smallest Schmidt coefficient {s[:r].min():.3e} below tolerance {SCHMIDT_FLOOR:.0e}"
         )
     weights = 1.0 / s[:r]
     phi = u[:, :r] @ weights

@@ -1,9 +1,9 @@
 """Small dependency-free optimizers, deterministic for fixed inputs.
 
 A Nelder-Mead simplex on plain Python floats for the general path's outer
-search over the basis freedom of a degenerate marginal, bisection, and an
-exact trust-region step for the
-two-qubit path's inner problem: the largest |g + A u| over unit u.
+search over the basis freedom of a degenerate marginal, and an exact
+trust-region step for the two-qubit path's inner problem: the largest
+|g + A u| over unit u.
 """
 
 from __future__ import annotations
@@ -84,24 +84,6 @@ def nelder_mead(f, x0, step=0.25, xatol=1e-10, fatol=1e-13, maxiter=400):
 
     simplex.sort(key=lambda t: t[1])
     return simplex[0][0], simplex[0][1], False
-
-
-def bisect(g, lo: float, hi: float, tol: float = 1e-12, maxiter: int = 200) -> float:
-    """Root of a monotone function g on [lo, hi] by bisection."""
-    glo = g(lo)
-    if glo == 0.0:
-        return lo
-    increasing = g(hi) > glo
-    for _ in range(maxiter):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if hi - lo < tol:
-            return mid
-        if (gm > 0) == increasing:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
 
 
 def max_norm_on_sphere(g, a):

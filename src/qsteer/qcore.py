@@ -2,9 +2,9 @@
 
 Density-operator validation, partial trace, Hermitian eigendecomposition with
 an explicit degeneracy flag, the Pauli (Bloch) decomposition of two-qubit
-states, and the Fibonacci lattice of directions on the Bloch sphere. All
-operations are pure functions on immutable values; matrices are plain
-complex numpy arrays.
+states, the Fibonacci lattice of directions on the Bloch sphere, and a unit
+perpendicular to a direction. All operations are pure functions on
+immutable values; matrices are plain complex numpy arrays.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 DEGENERACY_TOL = 1e-9
+# Smallest Schmidt coefficient a full-Schmidt-rank pure state may have.
+SCHMIDT_FLOOR = 1e-8
 MAX_DIM = 16
 
 # ---------- Pauli operators ----------
@@ -253,6 +255,14 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     phi = np.pi * (1.0 + 5.0**0.5) * i
     s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
     return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
+
+
+def unit_perpendicular(v: np.ndarray) -> np.ndarray:
+    """A unit 3-vector perpendicular to the unit 3-vector v."""
+    w = np.cross(v, np.array([1.0, 0.0, 0.0]))
+    if np.linalg.norm(w) < 1e-6:
+        w = np.cross(v, np.array([0.0, 1.0, 0.0]))
+    return w / np.linalg.norm(w)
 
 
 def bloch_basis(n) -> Basis:

@@ -31,7 +31,6 @@ from .errors import (
     WeightsInvalid,
     WrongDimension,
 )
-from .optimize import bisect
 from .qcore import (
     Basis,
     DensityMatrix,
@@ -39,9 +38,11 @@ from .qcore import (
     KET_1,
     KET_MINUS,
     KET_PLUS,
+    SCHMIDT_FLOOR,
     bloch_vector,
     ket_dm,
     qubit_state,
+    unit_perpendicular,
     validate_density,
 )
 from .steering import Ellipsoid, qse
@@ -204,7 +205,7 @@ def chord_state(psi, chi, chi_prime) -> StateFamilyResult:
     frame = np.eye(3)
     if half_chord > 1e-12:
         e1 = chord_dir / np.linalg.norm(chord_dir)
-        e3 = mid / b if b > 1e-12 else _any_perpendicular(e1)
+        e3 = mid / b if b > 1e-12 else unit_perpendicular(e1)
         e2 = np.cross(e3, e1)
         frame = np.column_stack([e1, e2, e3])
     return StateFamilyResult(
@@ -214,16 +215,13 @@ def chord_state(psi, chi, chi_prime) -> StateFamilyResult:
     )
 
 
-def _any_perpendicular(v: np.ndarray) -> np.ndarray:
-    w = np.cross(v, np.array([1.0, 0.0, 0.0]))
-    if np.linalg.norm(w) < 1e-6:
-        w = np.cross(v, np.array([0.0, 1.0, 0.0]))
-    return w / np.linalg.norm(w)
-
-
 def dlc_theta1(b1: float, b2: float, theta: float) -> float:
-    """Solve b1 sin(t1) = b2 sin(theta - t1) on [0, theta] by bisection."""
-    return bisect(lambda t1: b1 * math.sin(t1) - b2 * math.sin(theta - t1), 0.0, theta, tol=1e-12)
+    """Solve b1 sin(t1) = b2 sin(theta - t1) for t1 in [0, theta], theta in [0, pi].
+
+    Im((b1 + b2 e^(i theta)) e^(-i t1)) = b2 sin(theta - t1) - b1 sin(t1), so
+    the root is the angle of b1 + b2 e^(i theta), which lies between 0 and theta.
+    """
+    return math.atan2(b2 * math.sin(theta), b1 + b2 * math.cos(theta))
 
 
 def dlc_state(b1, b2, q: float) -> StateFamilyResult:
@@ -271,7 +269,7 @@ def dlc_state(b1, b2, q: float) -> StateFamilyResult:
         analytic_qse=Ellipsoid(
             center=(b1 + b2) / 2,
             semiaxes=np.array([np.linalg.norm(chord) / 2, 0.0, 0.0]),
-            frame=np.column_stack([e1, _any_perpendicular(e1), np.cross(e1, _any_perpendicular(e1))]),
+            frame=np.column_stack([e1, unit_perpendicular(e1), np.cross(e1, unit_perpendicular(e1))]),
         ),
         msc_bounds=(lower, upper),
     )
@@ -284,8 +282,8 @@ def pure_schmidt(lambdas, u_a=None, u_b=None) -> StateFamilyResult:
     """
     lam = np.asarray(lambdas, dtype=float)
     d = len(lam)
-    if lam.min() < 1e-8:
-        raise RankDeficient(f"smallest Schmidt coefficient {lam.min():.3e} below tolerance 1e-8")
+    if lam.min() < SCHMIDT_FLOOR:
+        raise RankDeficient(f"smallest Schmidt coefficient {lam.min():.3e} below tolerance {SCHMIDT_FLOOR:.0e}")
     lam = lam / np.linalg.norm(lam)
     u_a = np.eye(d, dtype=complex) if u_a is None else np.asarray(u_a, dtype=complex)
     u_b = np.eye(d, dtype=complex) if u_b is None else np.asarray(u_b, dtype=complex)

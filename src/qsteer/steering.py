@@ -26,9 +26,11 @@ from .errors import (
 )
 from .optimize import max_norm_on_sphere
 from .qcore import (
+    HERMITIAN_TOL,
     PAULIS,
     DensityMatrix,
     PauliForm,
+    _fix_phase,
     dag,
     fibonacci_sphere,
     pauli_decompose,
@@ -49,8 +51,8 @@ def validate_povm_element(matrix: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidPOVMElement(f"POVM element must be square, got shape {m.shape}")
     herm_dev = np.abs(m - dag(m)).max()
-    if herm_dev > 1e-10:
-        raise NotHermitian(f"max |M - M^dag| = {herm_dev:.3e} exceeds tolerance 1e-10")
+    if herm_dev > HERMITIAN_TOL:
+        raise NotHermitian(f"max |M - M^dag| = {herm_dev:.3e} exceeds tolerance {HERMITIAN_TOL:.0e}")
     eigs = np.linalg.eigvalsh((m + dag(m)) / 2)
     if eigs.min() < -POVM_EIG_TOL or eigs.max() > 1 + POVM_EIG_TOL:
         raise InvalidPOVMElement(
@@ -181,11 +183,6 @@ class Ellipsoid:
         return out
 
 
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(v)))
-    return v if v[k] >= 0 else -v
-
-
 def qse(state: DensityMatrix) -> Ellipsoid:
     """The quantum steering ellipsoid of a two-qubit state.
 
@@ -197,7 +194,7 @@ def qse(state: DensityMatrix) -> Ellipsoid:
     w, f = np.linalg.eigh(m_mat @ m_mat.T)
     order = np.argsort(-w, kind="stable")
     semiaxes = np.sqrt(np.clip(w[order], 0.0, None))
-    frame = np.column_stack([_fix_sign(f[:, j]) for j in order])
+    frame = np.column_stack([_fix_phase(f[:, j]) for j in order])
     worst = max_norm_on_sphere(c, m_mat)[0]
     if worst > 1 + BALL_TOL:
         raise GeometryViolation(

@@ -163,10 +163,11 @@ def test_apply_on_b_oracle(rng):
 
 
 def test_apply_on_a_oracle(rng):
-    ch = random_channel(rng)
-    st = random_two_qubit(rng)
-    hand = _apply_by_hand([np.kron(e, np.eye(2)) for e in ch.kraus_ops], st.matrix)
-    np.testing.assert_allclose(apply_on_a(st, ch).matrix, hand, atol=1e-12)
+    for da, db in ((2, 2), (2, 3), (3, 2)):
+        ch = random_channel(rng, da)
+        st = random_density_matrix(rng, (da, db))
+        hand = _apply_by_hand([np.kron(e, np.eye(db)) for e in ch.kraus_ops], st.matrix)
+        np.testing.assert_allclose(apply_on_a(st, ch).matrix, hand, atol=1e-12)
 
 
 def test_apply_preserves_validity(rng):

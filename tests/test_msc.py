@@ -9,7 +9,6 @@ from qsteer.errors import (
     TrivialProductState,
 )
 from qsteer.msc import (
-    MscOptions,
     fibonacci_sphere,
     msc_general,
     msc_oracle,
@@ -162,10 +161,26 @@ def test_oracle_alice_dimension_cap():
 
 
 def test_general_degenerate_werner():
-    opts = MscOptions(outer_general_maxiter=30, outer_general_starts=2)
-    res = msc_general(werner(0.6).state, opts)
-    assert res.degenerate_path
-    assert res.value == pytest.approx(0.6, abs=1e-3)
+    for p in (0.3, 0.6, 0.9, 1.0):
+        res = msc_general(werner(p).state)
+        assert res.degenerate_path
+        assert res.value == pytest.approx(p, abs=1e-12)
+
+
+@pytest.mark.parametrize("eps, degenerate", [(5e-10, True), (2e-9, False)])
+def test_one_degeneracy_threshold_for_both_paths(eps, degenerate):
+    # werner(0.6) + (eps/4) 1 x sigma_z has |b| = eps, and rho_B's
+    # eigenvalues (1 +- eps)/2 are eps apart: both paths compare eps with
+    # the one threshold qcore.DEGENERACY_TOL = 1e-9.
+    rho = werner(0.6).state.matrix + eps / 4 * np.kron(np.eye(2), np.diag([1.0, -1.0]))
+    st = validate_density(rho, (2, 2))
+    two = msc_two_qubit(st)
+    general = msc_general(st)
+    assert two.degenerate_path is degenerate
+    assert general.degenerate_path is degenerate
+    assert bool(two.warnings) is not degenerate
+    assert two.value == pytest.approx(0.6, abs=1e-6)
+    assert general.value == pytest.approx(0.6, abs=1e-6)
 
 
 def test_general_degenerate_isotropic_qutrit():

@@ -181,10 +181,17 @@ def test_dlc_marginal_and_segment():
 
 
 def test_dlc_theta1_equation():
-    b1, b2, theta = 0.9, 0.5, 1.1
-    t1 = dlc_theta1(b1, b2, theta)
-    assert 0 <= t1 <= theta
-    assert b1 * np.sin(t1) == pytest.approx(b2 * np.sin(theta - t1), abs=1e-10)
+    rng = np.random.default_rng(2024)
+    thetas = np.concatenate([
+        rng.uniform(0.0, np.pi, 1600),
+        rng.uniform(0.0, 1e-6, 200),
+        np.pi - rng.uniform(0.0, 1e-6, 200),
+    ])
+    for theta in thetas:
+        b1, b2 = rng.uniform(0.0, 1.0, 2)
+        t1 = dlc_theta1(b1, b2, theta)
+        assert 0 <= t1 <= theta
+        assert abs(b1 * np.sin(t1) - b2 * np.sin(theta - t1)) <= 1e-14
 
 
 def test_dlc_bounds_hold(rng):
