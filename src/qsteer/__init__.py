@@ -14,6 +14,7 @@ from .channels import (
     amplitude_damping,
     apply_on_a,
     apply_on_b,
+    apply_on_b_pauli,
     bloch_affine,
     dephasing,
     kraus_channel,
@@ -26,6 +27,7 @@ from .msc import (
     MscResult,
     msc_general,
     msc_oracle,
+    msc_sweep,
     msc_two_qubit,
     optimal_measurement_pure,
     sphere_sequence,
@@ -82,6 +84,7 @@ __all__ = [
     "amplitude_damping",
     "apply_on_a",
     "apply_on_b",
+    "apply_on_b_pauli",
     "bloch_affine",
     "bloch_vector",
     "canonical_transform",
@@ -99,6 +102,7 @@ __all__ = [
     "maximally_obese",
     "msc_general",
     "msc_oracle",
+    "msc_sweep",
     "msc_two_qubit",
     "optimal_measurement_pure",
     "partial_trace",

@@ -23,7 +23,7 @@ from .qcore import (
     dag,
     validate_density,
 )
-from .steering import validate_povm_element
+from .steering import _PAULI_STACK, validate_povm_element
 
 COMPLETENESS_TOL = 1e-10
 
@@ -154,17 +154,25 @@ def apply_on_a(state: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
 
 
 def bloch_affine(channel: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
-    """Affine Bloch action (Q, c) of a qubit channel: v -> Q v + c."""
+    """Affine Bloch action (Q, c) of a qubit channel: v -> Q v + c.
+
+    Q_jk = tr(sigma_j E(sigma_k)) / 2 and c_j = tr(sigma_j E(1)) / 2, one contraction over the Kraus stack.
+    """
     if channel.dim != 2:
         raise DimensionMismatch("Bloch action is defined for qubit channels only")
-    c = np.zeros(3)
-    q = np.zeros((3, 3))
-    out_id = channel.apply(np.eye(2, dtype=complex) / 2)
-    for j, s in enumerate(PAULIS[1:]):
-        c[j] = np.real(np.trace(out_id @ s))
-    for k, s_in in enumerate(PAULIS[1:]):
-        out = channel.apply(s_in / 2)
-        for j, s_out in enumerate(PAULIS[1:]):
-            q[j, k] = np.real(np.trace(out @ s_out))
-    return q, c
+    ops = np.array(channel.kraus_ops)
+    r = 0.5 * np.real(np.einsum("jab,ibc,kcd,iad->jk", _PAULI_STACK[1:], ops, _PAULI_STACK, ops.conj()))
+    return r[:, 1:], r[:, 0]
 
+
+def apply_on_b_pauli(theta: np.ndarray, channels) -> np.ndarray:
+    """Pauli forms (len(channels), 4, 4) of a two-qubit state after each qubit channel on Bob's side.
+
+    With the Bloch action v -> Q v + c, [[1, b^T], [a, T]] maps to theta B^T =
+    [[1, (Q b + c)^T], [a, T Q^T + a c^T]], B = [[1, 0], [c, Q]]; Alice's column is copied.
+    """
+    q, c = (np.array(x) for x in zip(*(bloch_affine(ch) for ch in channels)))
+    out = np.empty((len(q), 4, 4))
+    out[:, :, 0] = theta[:, 0]
+    out[:, :, 1:] = theta[:, 1:] @ q.transpose(0, 2, 1) + theta[:, :1] * c[:, None, :]
+    return out

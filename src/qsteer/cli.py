@@ -19,9 +19,9 @@ import sys
 
 import numpy as np
 
-from .channels import amplitude_damping, apply_on_b, unital_pauli
+from .channels import amplitude_damping, unital_pauli
 from .errors import QsteerError
-from .msc import msc_general, msc_two_qubit
+from .msc import msc_general, msc_sweep, msc_two_qubit
 from .qcore import DensityMatrix, bloch_vector, partial_trace
 from .statefile import load_state, save_state
 from .states import (
@@ -43,11 +43,22 @@ EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 
 
+def _number(text: str, flag: str, parse=float):
+    # A finite number from a flag's text; anything else is an input error.
+    try:
+        value = parse(text)
+    except ValueError:
+        raise QsteerError(f"--{flag}: {text!r} is not a number") from None
+    if not np.isfinite(value):
+        raise QsteerError(f"--{flag}: {text!r} is not finite")
+    return value
+
+
 def _parse_angle(text: str) -> float:
     text = text.strip().lower()
     if text.endswith("pi"):
-        return float(text[:-2] or "1") * math.pi
-    return float(text)
+        return _number(text[:-2] or "1", "theta") * math.pi
+    return _number(text, "theta")
 
 
 def _family_state(args) -> DensityMatrix:
@@ -72,11 +83,11 @@ def _family_state(args) -> DensityMatrix:
         b2 = _req(args, "b2") * np.array([math.sin(theta), 0.0, math.cos(theta)])
         return dlc_state(b1, b2, _req(args, "q")).state
     if fam == "pure-schmidt":
-        lam = np.array([float(x) for x in _req(args, "lambdas").split(",")])
+        lam = np.array([_number(x, "lambdas") for x in _req(args, "lambdas").split(",")])
         return pure_schmidt(lam / np.linalg.norm(lam)).state
     if fam == "x-state":
-        diag = [float(x) for x in _req(args, "diag").split(",")]
-        anti = [complex(x) for x in _req(args, "anti").split(",")]
+        diag = [_number(x, "diag") for x in _req(args, "diag").split(",")]
+        anti = [_number(x, "anti", complex) for x in _req(args, "anti").split(",")]
         return x_state(diag, anti).state
     raise QsteerError(f"unknown family {fam!r}")
 
@@ -154,10 +165,12 @@ def cmd_qse(args) -> int:
 
 def cmd_sweep(args) -> int:
     state = _resolve_state(args)
+    if args.grid < 1:
+        raise QsteerError(f"--grid must be at least 1, got {args.grid}")
     if args.channel == "amplitude-damping":
         make = amplitude_damping
     else:
-        es = [float(x) for x in args.e.split(",")] if args.e else None
+        es = [_number(x, "e") for x in args.e.split(",")] if args.e else None
         if es is None or len(es) != 4:
             raise QsteerError("--channel unital needs --e e0,e1,e2,e3")
 
@@ -167,14 +180,11 @@ def cmd_sweep(args) -> int:
             return unital_pauli(*scaled)
 
     gammas = np.linspace(0.0, 1.0, args.grid)
-    rows = ["gamma,msc"]
-    for g in gammas:
-        out = apply_on_b(state, make(float(g)))
-        res = msc_two_qubit(out) if out.dims == (2, 2) else msc_general(out)
-        if not res.converged:
-            print(f"optimizer did not converge at gamma={g}", file=sys.stderr)
-            return EXIT_NO_CONVERGENCE
-        rows.append(f"{g:.17g},{res.value:.17g}")
+    values, converged = msc_sweep(state, [make(float(g)) for g in gammas])
+    if not converged.all():
+        print(f"optimizer did not converge at gamma={gammas[~converged][0]}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
+    rows = ["gamma,msc"] + [f"{g:.17g},{v:.17g}" for g, v in zip(gammas, values)]
     text = "\n".join(rows) + "\n"
     if args.out:
         with open(args.out, "w", newline="\n") as fh:

@@ -6,7 +6,10 @@ basis along n is |P x| with P = 1 - n n^T, so over the steering ellipsoid
 globally, and the optimal u maps back to Alice's measurement direction
 through the whitening map. When Bob's marginal is
 degenerate (b = 0) the reference basis is ambiguous and the value is the
-infimum over basis axes n_B of that exact inner maximum.
+infimum over basis axes n_B of that exact inner maximum. The trust-region
+step takes stacks: msc_sweep solves a state under a list of Bob-side
+channels as one stack of Pauli forms, msc_two_qubit is its one-row case,
+and _minimax solves each scan or cap level of axes as one stack.
 
 The general-dimension path maximizes the l1 coherence of the steered state
 over rank-one POVM elements |psi><psi| on Alice's side; for a fixed
@@ -34,22 +37,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channels import apply_on_b, apply_on_b_pauli
 from .coherence import coherence_l1
 from .errors import (
     DimensionTooLarge,
     NotBipartite,
+    NotPSD,
     RankDeficientSchmidt,
     TrivialProductState,
     WrongDimension,
+    ZeroProbability,
 )
 from .optimize import max_norm_on_sphere, nelder_mead
 from .qcore import (
     Basis,
     DEGENERACY_TOL,
     DensityMatrix,
-    PAULIS,
+    PSD_TOL,
     SCHMIDT_FLOOR,
-    SIGMA_0,
     bloch_basis,
     degenerate_blocks,
     eigen_hermitian,
@@ -58,6 +63,7 @@ from .qcore import (
     partial_trace,
     pauli_decompose,
     unit_perpendicular,
+    validate_pauli_forms,
 )
 from .steering import SINGULAR_MARGINAL_TOL, ZERO_PROBABILITY_TOL, _whiten, steer
 
@@ -91,8 +97,8 @@ class MscResult:
 
     optimal_m is a unit Bloch vector on the two-qubit path and Alice's
     rank-one measurement ket on the general path. degenerate_path records
-    whether the infimum-over-bases branch was taken. value always equals
-    the l1 coherence of steered_state in reference_basis.
+    whether the infimum-over-bases branch was taken. value equals the l1
+    coherence of steered_state in reference_basis to roundoff.
     """
 
     value: float
@@ -135,9 +141,9 @@ def sphere_sequence(n: int) -> np.ndarray:
 
 
 def _inner(c, m_mat, n_hat):
-    """Exact max of |x x n_hat| over the ellipsoid {c + M u}; returns (value, u, converged)."""
-    p = np.eye(3) - np.outer(n_hat, n_hat)
-    return max_norm_on_sphere(p @ c, p @ m_mat)
+    """Stacked exact max of |x x n| over {c + M u} per axis row n of n_hat; returns (values, u, converged)."""
+    p = np.eye(3) - n_hat[:, :, None] * n_hat[:, None, :]
+    return max_norm_on_sphere((p @ c[..., None])[..., 0], p @ m_mat)
 
 
 def _cap_grid(center: np.ndarray, radius: float, k: int) -> np.ndarray:
@@ -155,77 +161,113 @@ def _cap_grid(center: np.ndarray, radius: float, k: int) -> np.ndarray:
 def _minimax(c, m_mat):
     """inf over basis axes n of the inner maximum; returns (n, u, converged)."""
 
-    def solve(n_hat):
-        value, u, conv = _inner(c, m_mat, n_hat)
-        return value, n_hat, u, conv
-
-    def lowest(cands):
-        return min(cands, key=lambda t: t[0])
+    def lowest(axes, best=None):
+        # One stacked solve over the axes; the incumbent stays unless a
+        # candidate is strictly lower.
+        values, us, convs = _inner(c, m_mat, axes)
+        k = int(np.argmin(values))
+        return (values[k], axes[k], us[k], convs[k]) if best is None or values[k] < best[0] else best
 
     # n and -n give the same basis, so scan one hemisphere; the outer
     # objective is a max of branches (kinked at the minimum), so refine by
     # shrinking-cap grids around the incumbent instead of a simplex.
     grid = fibonacci_sphere(2 * OUTER_GRID)
-    best = lowest([solve(n_hat) for n_hat in grid[grid[:, 2] >= 0][:OUTER_GRID]])
+    best = lowest(grid[grid[:, 2] >= 0][:OUTER_GRID])
     radius = 2.2 / math.sqrt(OUTER_GRID)
     for _ in range(OUTER_LEVELS):
-        best = lowest([best] + [solve(n_hat) for n_hat in _cap_grid(best[1], radius, OUTER_CAP_POINTS)])
+        best = lowest(_cap_grid(best[1], radius, OUTER_CAP_POINTS), best)
         radius *= 0.4
     return best[1:]
 
 
-def msc_two_qubit(state: DensityMatrix) -> MscResult:
-    """Maximal steered coherence of a two-qubit state with a witness.
+def _solve_pauli_stack(theta: np.ndarray):
+    """Two-qubit MSC of each row of a stack of Pauli forms (N, 4, 4) sharing Alice's column.
 
-    Routes to the infimum branch automatically when Bob's marginal is
-    degenerate (|b| below DEGENERACY_TOL). Raises TrivialProductState
-    when Alice's marginal is pure (|a| = 1), where steering is trivial. The
-    value is the coherence of the witness steered state, built from the
-    exact trust-region optimum, in the returned reference basis.
+    The whitening is computed once; rows with |b| >= DEGENERACY_TOL take the
+    axis along b and one stacked trust-region call, the others _minimax.
+    Each value is |x x n| for the witness's steered Bloch vector
+    x = (b + T^T m) / (1 + a.m), checked as steer checks it. Returns
+    (value, m, n, converged, degenerate, |b|), one row each.
     """
-    if state.dims != (2, 2):
-        raise WrongDimension(f"two-qubit path needs dims (2, 2), got {state.dims}")
-    th = pauli_decompose(state)
-    a, b = th.a, th.b
-    a_norm = float(np.linalg.norm(a))
+    a = theta[0, 1:, 0]
+    a_norm = math.sqrt(a @ a)
     if 1.0 - a_norm <= TRIVIAL_A_TOL:
         raise TrivialProductState(
             f"|a| = {a_norm:.12f}: Alice's marginal is pure within {TRIVIAL_A_TOL:.0e}, "
             "the state is a product and all steered states coincide"
         )
-    c, m_mat, lam = _whiten(th)
-    b_norm = float(np.linalg.norm(b))
+    c, m_mat, lam = _whiten(theta)
+    b = theta[:, 0, 1:]
+    b_norm = np.hypot.reduce(b, axis=1)
+    degenerate = b_norm < DEGENERACY_TOL
+    # The eigenbasis of rho_B = (1 + b.sigma)/2, taken from the unit axis:
+    # an eigensolve of rho_B itself loses digits as its gap |b| shrinks.
+    # Degenerate rows get a placeholder axis here and _minimax's below.
+    n_hat = b / np.maximum(b_norm, DEGENERACY_TOL)[:, None]
+    _, u, converged = _inner(c, m_mat, n_hat)
+    for k in degenerate.nonzero()[0]:
+        n_hat[k], u[k], converged[k] = _minimax(c[k], m_mat[k])
+
+    m = u @ lam[1:, 1:].T + lam[1:, 0]
+    m /= np.hypot.reduce(m, axis=1)[:, None]
+    den = 1.0 + m @ a
+    if den.min() / 2 <= ZERO_PROBABILITY_TOL:
+        raise ZeroProbability(f"outcome probability {den.min() / 2:.3e} below threshold {ZERO_PROBABILITY_TOL:.0e}")
+    x = (b + (m[:, None, :] @ theta[:, 1:, 1:])[:, 0]) / den[:, None]
+    x_norm = np.hypot.reduce(x, axis=1).max()
+    if x_norm > 1.0 + 2 * PSD_TOL:
+        raise NotPSD(f"steered Bloch vector of length {x_norm:.12f} exceeds 1 + {2 * PSD_TOL:.0e}")
+    perp = x - (x * n_hat).sum(axis=1)[:, None] * n_hat
+    return np.hypot.reduce(perp, axis=1), m, n_hat, converged, degenerate, b_norm
+
+
+def msc_two_qubit(state: DensityMatrix) -> MscResult:
+    """Maximal steered coherence of a two-qubit state with a witness.
+
+    The one-row case of the stacked solve (_solve_pauli_stack). Routes to
+    the infimum branch automatically when Bob's marginal is degenerate
+    (|b| below DEGENERACY_TOL). Raises TrivialProductState when Alice's
+    marginal is pure (|a| = 1), where steering is trivial. The value is the
+    coherence |x x n| of the witness, Alice's direction from the exact
+    trust-region optimum; steered_state is that witness built by steer.
+    """
+    if state.dims != (2, 2):
+        raise WrongDimension(f"two-qubit path needs dims (2, 2), got {state.dims}")
+    value, m, n_hat, converged, degenerate, b_norm = _solve_pauli_stack(pauli_decompose(state).theta[None])
     warnings: tuple[str, ...] = ()
-
-    if b_norm < DEGENERACY_TOL:
-        n_hat, u, converged = _minimax(c, m_mat)
-        degenerate = True
-    else:
-        if b_norm < NEAR_DEGENERATE_TOL:
-            warnings = (
-                f"|b| = {b_norm:.3e} is between the degeneracy tolerance and "
-                f"{NEAR_DEGENERATE_TOL:.0e}: the reference basis is ill-conditioned",
-            )
-        # The eigenbasis of rho_B = (1 + b.sigma)/2, taken from the unit axis:
-        # an eigensolve of rho_B itself loses digits as its gap |b| shrinks.
-        n_hat = b / b_norm
-        _, u, converged = _inner(c, m_mat, n_hat)
-        degenerate = False
-    basis = bloch_basis(n_hat)
-
-    m = (lam @ np.concatenate(([1.0], u)))[1:]
-    m /= np.linalg.norm(m)
-    m_op = (SIGMA_0 + m[0] * PAULIS[1] + m[1] * PAULIS[2] + m[2] * PAULIS[3]) / 2
+    if DEGENERACY_TOL <= b_norm[0] < NEAR_DEGENERATE_TOL:
+        warnings = (
+            f"|b| = {b_norm[0]:.3e} is between the degeneracy tolerance and "
+            f"{NEAR_DEGENERATE_TOL:.0e}: the reference basis is ill-conditioned",
+        )
+    m = m[0]
+    m_op = np.array([[1 + m[2], m[0] - 1j * m[1]], [m[0] + 1j * m[1], 1 - m[2]]]) / 2
     steered, _ = steer(state, m_op)
     return MscResult(
-        value=coherence_l1(steered, basis),
+        value=float(value[0]),
         optimal_m=m,
         steered_state=steered,
-        reference_basis=basis,
-        degenerate_path=degenerate,
-        converged=converged,
+        reference_basis=bloch_basis(n_hat[0]),
+        degenerate_path=bool(degenerate[0]),
+        converged=bool(converged[0]),
         warnings=warnings,
     )
+
+
+def msc_sweep(state: DensityMatrix, channels) -> tuple[np.ndarray, np.ndarray]:
+    """MSC of the state after each channel on Bob's side; returns (values, converged).
+
+    A two-qubit state is decomposed once, the channels act on its Pauli form
+    (apply_on_b_pauli), the outputs are validated in one batched check and
+    solved as one stack. Other states apply each channel and call msc_general.
+    """
+    if state.dims != (2, 2):
+        results = [msc_general(apply_on_b(state, ch)) for ch in channels]
+        return np.array([r.value for r in results]), np.array([r.converged for r in results])
+    theta = apply_on_b_pauli(pauli_decompose(state).theta, channels)
+    validate_pauli_forms(theta)
+    value, _, _, converged, _, _ = _solve_pauli_stack(theta)
+    return value, converged
 
 
 # ---------- general-dimension path ----------

@@ -234,6 +234,19 @@ def pauli_compose(theta) -> DensityMatrix:
     return validate_density(rho, (2, 2))
 
 
+def validate_pauli_forms(theta: np.ndarray) -> None:
+    """validate_density's finiteness and positivity checks, batched, on Pauli forms (N, 4, 4).
+
+    Real forms are Hermitian; trace-preserving maps of a validated state keep its trace.
+    """
+    if not np.isfinite(theta).all():
+        bad = int(np.count_nonzero(~np.isfinite(theta)))
+        raise NotFinite(f"{bad} of {theta.size} Pauli coefficients are NaN or infinite")
+    min_eig = float(np.linalg.eigvalsh(np.einsum("nij,ijkl->nkl", theta, _PAULI_KRON) / 4.0).min())
+    if min_eig < -PSD_TOL:
+        raise NotPSD(f"minimum eigenvalue {min_eig:.3e} below tolerance -{PSD_TOL:.0e}")
+
+
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
     """Bloch vector (x, y, z) of a single-qubit density matrix."""
     rho = np.asarray(rho, dtype=complex)

@@ -130,20 +130,22 @@ def canonical_transform(state: DensityMatrix) -> DensityMatrix:
     return validate_density(out, state.dims)
 
 
-def _whiten(theta: PauliForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Steering ellipsoid {c + M u : |u| = 1} of a Pauli form, and its whitening map.
+def _whiten(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Steering ellipsoids {c + M u : |u| = 1} of Pauli forms, and their whitening map.
 
+    theta is one Pauli form or a stack (N, 4, 4) sharing Alice's column (1, a).
     Returns (c, M, Lambda) with Lambda_{mu nu} = tr(sigma_mu R sigma_nu R) / 2,
     R = rho_A^(-1/2): the canonical form is proportional to Lambda theta,
     c = b_can, M = T_can^T, and Alice's direction m steering to c + M u lies
     along (Lambda (1, u))[1:]. Raises SingularMarginal when rho_A is pure.
     """
-    r = _inverse_sqrt(np.einsum("m,mij->ij", theta.theta[:, 0], _PAULI_STACK) / 2)
+    alice = theta.reshape(-1, 4, 4)[0, :, 0]
+    r = _inverse_sqrt(np.einsum("m,mij->ij", alice, _PAULI_STACK) / 2)
     x = _PAULI_STACK @ r
     lam = 0.5 * np.real(np.einsum("mij,nji->mn", x, x))
-    can = lam @ theta.theta
-    can /= can[0, 0]
-    return can[0, 1:], can[1:, 1:].T, lam
+    can = lam @ theta
+    can /= can[..., :1, :1]
+    return can[..., 0, 1:], can[..., 1:, 1:].swapaxes(-1, -2), lam
 
 
 @dataclass(frozen=True)
@@ -190,7 +192,7 @@ def qse(state: DensityMatrix) -> Ellipsoid:
     M M^T, from the whitened Pauli form. Raises GeometryViolation when the
     exact largest radius max |c + M u| exceeds 1 + BALL_TOL.
     """
-    c, m_mat, _ = _whiten(pauli_decompose(state))
+    c, m_mat, _ = _whiten(pauli_decompose(state).theta)
     w, f = np.linalg.eigh(m_mat @ m_mat.T)
     order = np.argsort(-w, kind="stable")
     semiaxes = np.sqrt(np.clip(w[order], 0.0, None))

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import amplitude_damping, apply_on_b, semi_classical
-from .msc import msc_general, msc_oracle, msc_two_qubit
-from .qcore import Basis, DensityMatrix, validate_density
+from .msc import msc_general, msc_oracle, msc_sweep, msc_two_qubit
+from .qcore import Basis, validate_density
 from .rand import (
     random_canonical,
     random_classical,
@@ -49,14 +49,6 @@ class CheckResult:
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status} {self.name}: worst deviation {self.worst:.3e}"
-
-
-def _grid_sweep(state: DensityMatrix, gammas) -> np.ndarray:
-    vals = []
-    for g in gammas:
-        out = apply_on_b(state, amplitude_damping(float(g)))
-        vals.append(msc_two_qubit(out).value)
-    return np.array(vals)
 
 
 def _bloch_ket(theta: float, phi: float = 0.0) -> np.ndarray:
@@ -108,11 +100,12 @@ DAMPING_ENDPOINT_TOL = 1e-9
 def check_damping_curve(seed: int = DEFAULT_SEED) -> CheckResult:
     """Amplitude-damping sweep on the classical family matches its closed form."""
     gammas = np.linspace(0.0, 1.0, 101)
+    damping = [amplitude_damping(float(g)) for g in gammas]
     worst = 0.0
     worst_end = 0.0
     lines = []
     for t in (0.6, 0.75, 0.9):
-        vals = _grid_sweep(rho_c(t).state, gammas)
+        vals = msc_sweep(rho_c(t).state, damping)[0]
         analytic = np.array([damped_classical_msc(t, g) for g in gammas])
         dev = np.abs(vals - analytic).max()
         worst = max(worst, dev)
@@ -149,11 +142,11 @@ SWEEP_MIN_GAIN = 1e-4
 
 def check_fig2_sweep(seed: int = DEFAULT_SEED) -> CheckResult:
     """Damping can raise the coherence, more strongly for more prolate QSEs."""
-    gammas = np.linspace(0.0, 1.0, 101)
+    damping = [amplitude_damping(float(g)) for g in np.linspace(0.0, 1.0, 101)]
     margins = []
     lines = []
     for p, th_frac in FIG2_PAIRS:
-        vals = _grid_sweep(rho_p(p, th_frac * math.pi).state, gammas)
+        vals = msc_sweep(rho_p(p, th_frac * math.pi).state, damping)[0]
         margin = float(vals.max() - vals[0])
         margins.append(margin)
         lines.append(f"(p={p}, theta={th_frac}pi): sweep max - initial = {margin:.6f}")
@@ -178,11 +171,7 @@ def check_thm1(seed: int = DEFAULT_SEED, n_channels: int = 50, n_states: int = 2
     base_vals = [msc_two_qubit(s).value for s in states]
     channels = [random_unital_channel(rng) for _ in range(n_channels)]
 
-    worst_increase = -np.inf
-    for ch in channels:
-        for s, base in zip(states, base_vals):
-            out = msc_two_qubit(apply_on_b(s, ch)).value
-            worst_increase = max(worst_increase, out - base)
+    worst_increase = max(float((msc_sweep(s, channels)[0] - base).max()) for s, base in zip(states, base_vals))
 
     worst_sc = 0.0
     for _ in range(10):

@@ -5,6 +5,7 @@ from qsteer.channels import (
     amplitude_damping,
     apply_on_a,
     apply_on_b,
+    apply_on_b_pauli,
     bloch_affine,
     dephasing,
     kraus_channel,
@@ -13,12 +14,13 @@ from qsteer.channels import (
 )
 from qsteer.errors import IncompletePOVM, ParameterOutOfRange
 from qsteer.msc import msc_two_qubit
-from qsteer.qcore import Basis, KET_PLUS, ket_dm, qubit_state
+from qsteer.qcore import Basis, KET_PLUS, ket_dm, pauli_decompose, qubit_state
 from qsteer.rand import (
     random_channel,
     random_density_matrix,
     random_povm,
     random_two_qubit,
+    random_unital_channel,
     random_unitary,
 )
 from qsteer.states import damped_classical_msc, rho_c
@@ -202,10 +204,31 @@ def test_alice_side_channels_never_increase_msc(rng):
 
 
 def test_unital_on_bob_never_increases_msc(rng):
-    from qsteer.rand import random_unital_channel
-
     for _ in range(15):
         st = random_two_qubit(rng)
         base = msc_two_qubit(st).value
         out = apply_on_b(st, random_unital_channel(rng))
         assert msc_two_qubit(out).value <= base + 1e-6
+
+
+def test_pauli_action_matches_apply_on_b(rng):
+    # theta -> theta B^T with B = [[1, 0], [c, Q]] from bloch_affine equals the
+    # Kraus sum on Bob's side. Alice's column is copied exactly; the Kraus
+    # route recomputes it with roundoff (up to 1.1e-15 measured), so the
+    # comparison to 1e-15 covers the columns the channel acts on.
+    channels = (
+        [amplitude_damping(g) for g in (0.0, 0.3, 0.75, 1.0)]
+        + [random_unital_channel(rng) for _ in range(3)]
+        + [semi_classical(Basis(vectors=random_unitary(rng, 2)), random_povm(rng, 2, 2)) for _ in range(3)]
+        + [random_channel(rng) for _ in range(3)]
+    )
+    for _ in range(20):
+        s = random_two_qubit(rng)
+        theta = pauli_decompose(s).theta
+        out = apply_on_b_pauli(theta, channels)
+        assert out.shape == (len(channels), 4, 4)
+        for ch, th in zip(channels, out):
+            ref = pauli_decompose(apply_on_b(s, ch)).theta
+            assert np.array_equal(th[:, 0], theta[:, 0])
+            assert np.abs(th[:, 1:] - ref[:, 1:]).max() <= 1e-15
+            assert np.abs(th[:, 0] - ref[:, 0]).max() <= 4e-15

@@ -60,3 +60,31 @@ def test_projected_inputs(rng):
         n = rng.standard_normal(3)
         p = np.eye(3) - np.outer(n, n) / (n @ n)
         _check(p @ rng.standard_normal(3), p @ rng.standard_normal((3, 3)))
+
+
+def test_mixed_stack_equals_one_row_solves(rng):
+    # One stacked call over every case kind above (generic, g = 0, near-hard,
+    # double top eigenvalue, A = 0, projected): each row equals its own solve.
+    rows = [(rng.standard_normal(3), rng.standard_normal((3, 3))) for _ in range(20)]
+    rows += [(s * rng.standard_normal(3), rng.standard_normal((3, 3))) for s in (0.0, 1e-17) for _ in range(5)]
+    for _ in range(5):
+        a = rng.standard_normal((3, 3))
+        lam, v = np.linalg.eigh(a.T @ a)
+        h = v[:, :2] @ (rng.uniform(0.0, 0.7) * (lam[2] - lam[:2]) * rng.standard_normal(2) / np.sqrt(2))
+        rows.append((np.linalg.solve(a.T, h), a))
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    rows += [(np.zeros(3), q @ np.diag([0.8, 0.8, 0.3])), (rng.standard_normal(3), np.zeros((3, 3)))]
+    for _ in range(5):
+        n = rng.standard_normal(3)
+        p = np.eye(3) - np.outer(n, n) / (n @ n)
+        rows.append((p @ rng.standard_normal(3), p @ rng.standard_normal((3, 3))))
+    order = rng.permutation(len(rows))
+    g = np.array([rows[k][0] for k in order])
+    a = np.array([rows[k][1] for k in order])
+    values, us, convs = max_norm_on_sphere(g, a)
+    assert values.shape == (len(rows),) and us.shape == (len(rows), 3) and convs.all()
+    for k in range(len(rows)):
+        value, u, converged = max_norm_on_sphere(g[k], a[k])
+        assert converged
+        assert abs(values[k] - value) <= 1e-15
+        assert np.abs(us[k] - u).max() <= 1e-15

@@ -3,6 +3,7 @@ import pytest
 
 from qsteer.errors import (
     NotBipartite,
+    NotFinite,
     NotHermitian,
     NotPSD,
     NotUnitTrace,
@@ -14,6 +15,7 @@ from qsteer.qcore import (
     pauli_compose,
     pauli_decompose,
     validate_density,
+    validate_pauli_forms,
 )
 from qsteer.rand import random_density_matrix, random_two_qubit
 from qsteer.states import rho_p, werner
@@ -211,3 +213,17 @@ def test_pauli_compose_unphysical():
     th[1, 1] = 2.0
     with pytest.raises(NotPSD):
         pauli_compose(th)
+
+
+def test_validate_pauli_forms_batched(rng):
+    # The batched check accepts valid forms and raises validate_density's
+    # exceptions when any one row is non-finite or not positive.
+    stack = np.array([pauli_decompose(random_two_qubit(rng)).theta for _ in range(5)])
+    validate_pauli_forms(stack)
+    bad = stack.copy()
+    bad[3, 1, 1] = 2.0
+    with pytest.raises(NotPSD):
+        validate_pauli_forms(bad)
+    bad[3, 1, 1] = np.nan
+    with pytest.raises(NotFinite):
+        validate_pauli_forms(bad)

@@ -8,7 +8,7 @@ from qsteer.errors import NotPSD, ValidationError, WrongDimension
 from qsteer.qcore import validate_density
 from qsteer.rand import random_density_matrix, random_product, random_two_qubit
 from qsteer.statefile import load_state, save_state, state_from_dict, state_to_dict
-from qsteer.states import damped_classical_msc, rho_p
+from qsteer.states import damped_classical_msc, rho_p, werner
 
 
 def test_round_trip_exact(rng, tmp_path):
@@ -141,7 +141,23 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["msc", "--family", "werner"]) == 2  # missing --p
     assert main(["msc"]) == 2  # no input at all
     assert main(["qse", "--family", "werner", "--p", "2.0"]) == 2
+    # Hostile numbers: a negative or zero grid, unparsable or non-finite text.
+    assert main(["sweep", "--family", "werner", "--p", "0.5", "--grid", "-1"]) == 2
+    assert main(["sweep", "--family", "werner", "--p", "0.5", "--grid", "0"]) == 2
+    assert main(["sweep", "--family", "werner", "--p", "0.5", "--channel", "unital", "--e", "a,0,0,0"]) == 2
+    assert main(["sweep", "--family", "werner", "--p", "0.5", "--channel", "unital", "--e", "nan,0,0,1"]) == 2
+    assert main(["msc", "--family", "rho-p", "--p", "0.5", "--theta", "x"]) == 2
+    assert main(["msc", "--family", "rho-p", "--p", "0.5", "--theta", "inf"]) == 2
+    assert main(["msc", "--family", "pure-schmidt", "--lambdas", "0.6,x"]) == 2
+    assert main(["msc", "--family", "x-state", "--diag", "a,0.25,0.25,0.25", "--anti", "0,0"]) == 2
+    assert main(["msc", "--family", "x-state", "--diag", "0.25,0.25,0.25,0.25", "--anti", "0,q"]) == 2
     capsys.readouterr()
+    # A pure Alice marginal makes every point of a sweep a trivial product.
+    pure_alice = tmp_path / "pure_alice.json"
+    bob = random_density_matrix(np.random.default_rng(1), (2,)).matrix
+    save_state(validate_density(np.kron(np.diag([1.0, 0.0]), bob), (2, 2)), pure_alice)
+    assert main(["sweep", str(pure_alice), "--grid", "5"]) == 2
+    assert "Alice's marginal is pure" in capsys.readouterr().err
 
 
 def test_cli_nonconvergence_exit_code(monkeypatch, capsys):
@@ -157,6 +173,17 @@ def test_cli_nonconvergence_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "msc_two_qubit", fake)
     assert main(["msc", "--family", "werner", "--p", "0.5"]) == 3
     capsys.readouterr()
+
+    real_sweep = cli.msc_sweep
+
+    def fake_sweep(state, channels):
+        values, converged = real_sweep(state, channels)
+        converged[2] = False
+        return values, converged
+
+    monkeypatch.setattr(cli, "msc_sweep", fake_sweep)
+    assert main(["sweep", "--family", "werner", "--p", "0.5", "--grid", "5"]) == 3
+    assert "gamma=0.5" in capsys.readouterr().err
 
 
 def test_cli_verify_single_check(capsys):
@@ -187,20 +214,37 @@ def test_cli_gen_stdout(capsys):
 
 
 def test_cli_sweep_grid_counts_gamma_points_only(tmp_path):
-    # --grid sets the number of gamma points and nothing else: each row is
-    # the solver's value at default options.
-    from qsteer.channels import amplitude_damping, apply_on_b
-    from qsteer.msc import msc_two_qubit
+    # --grid sets the number of gamma points and nothing else: each row of the
+    # stacked sweep equals the per-point solve of the channel's output. The
+    # inputs cover damping and unital sweeps, a degenerate row at gamma = 0
+    # (Werner under damping), every row degenerate (Werner under a unital
+    # channel) and the general path (a 3x2 state).
+    from qsteer.channels import amplitude_damping, apply_on_b, unital_pauli
+    from qsteer.msc import msc_general, msc_two_qubit
 
-    state = rho_p(0.5, 0.1 * np.pi).state
-    path, out = tmp_path / "s.json", tmp_path / "s.csv"
-    save_state(state, path)
-    assert main(["sweep", str(path), "--grid", "5", "--out", str(out)]) == 0
-    rows = [r.split(",") for r in out.read_text().strip().split("\n")[1:]]
-    assert len(rows) == 5
-    for g, v in rows:
-        expected = msc_two_qubit(apply_on_b(state, amplitude_damping(float(g)))).value
-        assert float(v) == pytest.approx(expected, abs=1e-12)
+    e = (0.4, 0.3, 0.2, 0.1)
+
+    def unital(g):
+        return unital_pauli(1 - g + g * e[0], g * e[1], g * e[2], g * e[3])
+
+    flags = ["--channel", "unital", "--e", ",".join(map(str, e))]
+    inputs = [
+        (rho_p(0.5, 0.1 * np.pi).state, [], amplitude_damping),
+        (random_two_qubit(np.random.default_rng(3)), flags, unital),
+        (werner(0.6).state, [], amplitude_damping),
+        (werner(0.6).state, flags, unital),
+        (random_density_matrix(np.random.default_rng(4), (3, 2)), [], amplitude_damping),
+    ]
+    for k, (state, extra, make) in enumerate(inputs):
+        path, out = tmp_path / f"s{k}.json", tmp_path / f"s{k}.csv"
+        save_state(state, path)
+        assert main(["sweep", str(path), "--grid", "5", "--out", str(out)] + extra) == 0
+        rows = [r.split(",") for r in out.read_text().strip().split("\n")[1:]]
+        assert len(rows) == 5
+        solve = msc_two_qubit if state.dims == (2, 2) else msc_general
+        for g, v in rows:
+            expected = solve(apply_on_b(state, make(float(g)))).value
+            assert float(v) == pytest.approx(expected, abs=1e-12)
 
 
 def test_cli_msc_converges_on_4x4(rng, tmp_path, capsys):
