@@ -6,10 +6,14 @@ basis along n is |P x| with P = 1 - n n^T, so over the steering ellipsoid
 globally, and the optimal u maps back to Alice's measurement direction
 through the whitening map. When Bob's marginal is
 degenerate (b = 0) the reference basis is ambiguous and the value is the
-infimum over basis axes n_B of that exact inner maximum. The trust-region
-step takes stacks: msc_sweep solves a state under a list of Bob-side
-channels as one stack of Pauli forms, msc_two_qubit is its one-row case,
-and _minimax solves each scan or cap level of axes as one stack.
+infimum over basis axes n_B of that exact inner maximum. The middle
+semiaxis bounds that infimum from below and is attained on the major axis
+when the center lies on it (every a = 0 state, classical b = 0 states):
+_minimax returns an axis that meets the bound to MINIMAX_GAP and scans the
+axes only when none does. The trust-region step takes stacks: msc_sweep
+solves a state under a list of Bob-side channels as one stack of Pauli
+forms, msc_two_qubit is its one-row case, and _minimax solves its
+candidate axes and each scan or cap level of axes as one stack.
 
 The general-dimension path maximizes the l1 coherence of the steered state
 over rank-one POVM elements |psi><psi| on Alice's side; for a fixed
@@ -71,8 +75,11 @@ TRIVIAL_A_TOL = 1e-9
 # Above DEGENERACY_TOL, a |b| below this still gets a warning: the reference
 # basis along b is ill-conditioned.
 NEAR_DEGENERATE_TOL = 1e-4
-# The two-qubit infimum over basis axes: a hemisphere scan of OUTER_GRID
-# axes, then OUTER_LEVELS shrinking caps of OUTER_CAP_POINTS axes each.
+# The two-qubit infimum over basis axes: certified when a candidate axis is
+# within MINIMAX_GAP of the middle-semiaxis lower bound; otherwise a
+# hemisphere scan of OUTER_GRID axes, then OUTER_LEVELS shrinking caps of
+# OUTER_CAP_POINTS axes each.
+MINIMAX_GAP = 1e-10
 OUTER_GRID = 72
 OUTER_LEVELS = 10
 OUTER_CAP_POINTS = 20
@@ -159,7 +166,17 @@ def _cap_grid(center: np.ndarray, radius: float, k: int) -> np.ndarray:
 
 
 def _minimax(c, m_mat):
-    """inf over basis axes n of the inner maximum; returns (n, u, converged)."""
+    """inf over basis axes n of the inner maximum; returns (n, u, converged).
+
+    The middle singular value s2 of M bounds the infimum from below: for
+    every n, max_u |P (c + M u)| >= max(|P c +- P M u*|) >= sigma_max(P M)
+    >= s2, the last step by Cauchy interlacing of M M^T compressed to n's
+    plane. The bound is attained on the major axis when c lies on it, and
+    on c's axis when c lies in a degenerate top plane, so both are solved
+    first; when the lower one is within MINIMAX_GAP of s2 it is returned.
+    Otherwise the axis scan runs and the lower of its result and theirs is
+    returned.
+    """
 
     def lowest(axes, best=None):
         # One stacked solve over the axes; the incumbent stays unless a
@@ -167,6 +184,14 @@ def _minimax(c, m_mat):
         values, us, convs = _inner(c, m_mat, axes)
         k = int(np.argmin(values))
         return (values[k], axes[k], us[k], convs[k]) if best is None or values[k] < best[0] else best
+
+    # s2 from the svd of M: the square root of an eigenvalue of M M^T errs
+    # by up to sqrt(eps) when s2 is small, and the bound would not hold.
+    frame, s, _ = np.linalg.svd(m_mat)
+    c_norm = math.sqrt(c @ c)
+    candidate = lowest(np.stack([frame[:, 0], c / c_norm]) if c_norm > 0 else frame[:, :1].T)
+    if candidate[0] <= s[1] + MINIMAX_GAP:
+        return candidate[1:]
 
     # n and -n give the same basis, so scan one hemisphere; the outer
     # objective is a max of branches (kinked at the minimum), so refine by
@@ -177,7 +202,7 @@ def _minimax(c, m_mat):
     for _ in range(OUTER_LEVELS):
         best = lowest(_cap_grid(best[1], radius, OUTER_CAP_POINTS), best)
         radius *= 0.4
-    return best[1:]
+    return min(best, candidate, key=lambda r: r[0])[1:]
 
 
 def _solve_pauli_stack(theta: np.ndarray):
@@ -260,10 +285,13 @@ def msc_sweep(state: DensityMatrix, channels) -> tuple[np.ndarray, np.ndarray]:
     A two-qubit state is decomposed once, the channels act on its Pauli form
     (apply_on_b_pauli), the outputs are validated in one batched check and
     solved as one stack. Other states apply each channel and call msc_general.
+    An empty channel list gives empty arrays.
     """
     if state.dims != (2, 2):
         results = [msc_general(apply_on_b(state, ch)) for ch in channels]
-        return np.array([r.value for r in results]), np.array([r.converged for r in results])
+        return np.array([r.value for r in results], dtype=float), np.array([r.converged for r in results], dtype=bool)
+    if not channels:
+        return np.empty(0), np.empty(0, dtype=bool)
     theta = apply_on_b_pauli(pauli_decompose(state).theta, channels)
     validate_pauli_forms(theta)
     value, _, _, converged, _, _ = _solve_pauli_stack(theta)

@@ -61,7 +61,7 @@ CLOSED_FORM_TOL = 1e-6
 
 
 def check_closed_forms(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Optimizer matches each family's closed form on a 20-point grid."""
+    """Optimizer matches each family's closed form on a 20-point grid; classical adds the b = 0 rho_c(0.5)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     lines = []
@@ -81,7 +81,7 @@ def check_closed_forms(seed: int = DEFAULT_SEED) -> CheckResult:
             (fam.state, fam.analytic_msc)
             for fam in (maximally_obese(b) for b in np.linspace(0.0, 0.95, 20))
         ],
-        "classical": [(rho_c(t).state, 0.0) for t in np.linspace(0.52, 0.95, 10)]
+        "classical": [(rho_c(t).state, 0.0) for t in (0.5, *np.linspace(0.52, 0.95, 10))]
         + [(random_classical(rng), 0.0) for _ in range(10)],
     }
     for name, members in fams.items():

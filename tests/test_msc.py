@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.strategies import floats, lists
 
 from qsteer.channels import amplitude_damping, apply_on_b
 from qsteer.coherence import coherence_l1
@@ -12,12 +14,15 @@ from qsteer.msc import (
     fibonacci_sphere,
     msc_general,
     msc_oracle,
+    msc_sweep,
     msc_two_qubit,
     optimal_measurement_pure,
     sphere_sequence,
 )
-from qsteer.qcore import bloch_vector, pauli_decompose, validate_density
+from qsteer.optimize import max_norm_on_sphere
+from qsteer.qcore import bloch_vector, pauli_compose, pauli_decompose, validate_density
 from qsteer.rand import (
+    random_basis,
     random_canonical,
     random_classical,
     random_density_matrix,
@@ -26,7 +31,7 @@ from qsteer.rand import (
     random_two_qubit,
     random_unitary,
 )
-from qsteer.states import maximally_obese, rho_c, rho_p, werner
+from qsteer.states import classical_state, maximally_obese, rho_c, rho_p, werner
 from qsteer.steering import qse
 
 
@@ -98,7 +103,7 @@ def test_degenerate_bell_diagonal_middle_value(rng):
         oracle_inf = min(inner)
         middle = sorted(abs(np.array(ts)))[1]
         assert res.value == pytest.approx(oracle_inf, abs=1e-3)
-        assert res.value == pytest.approx(middle, abs=1e-3)
+        assert res.value == pytest.approx(middle, abs=1e-12)
 
 
 def test_general_agrees_with_two_qubit(rng):
@@ -373,3 +378,75 @@ def test_near_product_witnesses_are_hermitian():
         res = msc_two_qubit(_near_product(rng))
         assert res.converged
         assert abs(res.value - coherence_l1(res.steered_state, res.reference_basis)) <= 1e-9
+
+
+def test_sweep_of_no_channels_is_empty():
+    for state in (werner(0.5).state, random_density_matrix(np.random.default_rng(1), (3, 2))):
+        values, converged = msc_sweep(state, [])
+        assert values.shape == converged.shape == (0,)
+        assert values.dtype == float
+        assert converged.dtype == bool
+
+
+# ---------- degenerate branch (b = 0): the middle-semiaxis certificate ----------
+
+
+def _b0_state(rng):
+    # [[1, 0], [a, T]]: b = 0, |a| in [0.1, 0.9] and a random T with
+    # |a| + ||T||_* < 1, which bounds the norm of a.sigma x 1 + T_ij sigma_i x
+    # sigma_j by 1 and so keeps the state positive.
+    theta = np.zeros((4, 4))
+    theta[0, 0] = 1.0
+    a = rng.standard_normal(3)
+    theta[1:, 0] = a * rng.uniform(0.1, 0.9) / np.linalg.norm(a)
+    t = rng.standard_normal((3, 3))
+    theta[1:, 1:] = t * rng.uniform(0.5, 1.0) * (1 - np.linalg.norm(theta[1:, 0])) / np.linalg.norm(t, "nuc")
+    return pauli_compose(theta)
+
+
+def test_classical_b0_states_vanish(rng):
+    # Equal weights put Bob's marginal at b = 0 and the QSE on a segment
+    # through its center: the middle semiaxis is 0 and the major axis
+    # attains it.
+    states = [rho_c(0.5).state]
+    for _ in range(20):
+        alice = [random_density_matrix(rng, (2,)) for _ in range(2)]
+        states.append(classical_state([0.5, 0.5], alice, random_basis(rng, 2)).state)
+    for st in states:
+        res = msc_two_qubit(st)
+        assert res.degenerate_path
+        assert res.value <= 1e-12
+
+
+def test_non_ball_b0_between_middle_semiaxis_and_axis_grid(rng):
+    # Every axis n has h(n) = max_u |P (c + M u)| >= s2, the middle semiaxis
+    # (Cauchy interlacing), so the infimum is at least s2 and at most h on
+    # any axis; h comes here from the QSE's center and frame on a dense
+    # hemisphere of axes.
+    grid = fibonacci_sphere(2000)
+    grid = grid[grid[:, 2] >= 0]
+    proj = np.eye(3) - grid[:, :, None] * grid[:, None, :]
+    for _ in range(50):
+        st = _b0_state(rng)
+        res = msc_two_qubit(st)
+        ell = qse(st)
+        h = max_norm_on_sphere(proj @ ell.center, proj @ (ell.frame * ell.semiaxes))[0]
+        assert res.degenerate_path
+        assert res.value >= ell.semiaxes[1] - 1e-12
+        assert res.value <= h.min() + 1e-12
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(lists(floats(-1.0, 1.0, allow_subnormal=False), min_size=9, max_size=9), floats(0.0, 1.0))
+def test_a0_b0_value_is_middle_singular_value(entries, scale):
+    # a = b = 0 centers the QSE at the origin, on its major axis, where the
+    # middle singular value of T is attained. ||T||_* <= 1 keeps the state
+    # positive.
+    t = np.reshape(entries, (3, 3))
+    nuc = np.linalg.norm(t, "nuc")
+    theta = np.zeros((4, 4))
+    theta[0, 0] = 1.0
+    theta[1:, 1:] = t * scale / nuc if nuc > 0 else t
+    res = msc_two_qubit(pauli_compose(theta))
+    assert res.degenerate_path
+    assert res.value == pytest.approx(np.linalg.svd(theta[1:, 1:], compute_uv=False)[1], abs=1e-12)
