@@ -23,8 +23,11 @@ the state, so rank-one elements suffice. Whitened by rho_A's support, the
 coherence becomes 2 sum_p |phi^dag A_p phi| over unit phi, whose maximum
 is the largest lambda_max(H(w)) over phase vectors w (phase lifting); an
 ascent that alternates the exact best w and the exact best phi climbs it
-from a batch of seeded starts. Degenerate marginals add a Nelder-Mead
-search for the infimum over the block-unitary basis freedom.
+from a batch of seeded starts. Degenerate marginals add a descent for the
+infimum over Bob's block unitaries: by Danskin's theorem each witness of
+the ascent gives a one-sided derivative tr(G H) along V exp(iH), and Armijo
+steps follow minus the min-norm point of the witnesses' G (as in gradient
+sampling, Burke, Lewis & Overton, SIAM J. Optim. 15 (2005)).
 
 Both solvers take only a state. Both call Bob's marginal degenerate at one
 threshold, qcore.DEGENERACY_TOL: the two-qubit path tests |b| and the
@@ -52,7 +55,7 @@ from .errors import (
     WrongDimension,
     ZeroProbability,
 )
-from .optimize import max_norm_on_sphere, nelder_mead
+from .optimize import max_norm_on_sphere
 from .qcore import (
     Basis,
     DEGENERACY_TOL,
@@ -66,10 +69,11 @@ from .qcore import (
     ket_dm,
     partial_trace,
     pauli_decompose,
+    qubit_state,
     unit_perpendicular,
     validate_pauli_forms,
 )
-from .steering import SINGULAR_MARGINAL_TOL, ZERO_PROBABILITY_TOL, _whiten, steer
+from .steering import SINGULAR_MARGINAL_TOL, ZERO_PROBABILITY_TOL, _steer_raw, _whiten, steer
 
 TRIVIAL_A_TOL = 1e-9
 # Above DEGENERACY_TOL, a |b| below this still gets a warning: the reference
@@ -83,10 +87,16 @@ MINIMAX_GAP = 1e-10
 OUTER_GRID = 72
 OUTER_LEVELS = 10
 OUTER_CAP_POINTS = 20
-# The general path's infimum over block unitaries: OUTER_GENERAL_STARTS
-# Nelder-Mead runs of at most OUTER_GENERAL_MAXITER steps.
-OUTER_GENERAL_STARTS = 3
-OUTER_GENERAL_MAXITER = 60
+# The general path's infimum over block unitaries: a descent from
+# DESCENT_STARTS bases of at most DESCENT_MAXITER Armijo steps, each no
+# shorter than DESCENT_STEP_FLOOR, valued by trial ascents of TRIAL_MAXITER
+# steps whose witnesses lie within rtol * max(1, lambda) of the top, rtol
+# running through WITNESS_RTOLS.
+DESCENT_STARTS = 6
+DESCENT_MAXITER = 200
+DESCENT_STEP_FLOOR = 1e-6
+TRIAL_MAXITER = 15
+WITNESS_RTOLS = (1e-2, 1e-3, 1e-4)
 # The general path's eigen-ascent: seeded starts run as one batch, until
 # every start's lambda rises by at most ASCENT_RTOL * max(1, lambda) in one
 # step (roundoff makes a settled lambda jitter by ~1e-15), or ASCENT_MAXITER
@@ -94,7 +104,7 @@ OUTER_GENERAL_MAXITER = 60
 ASCENT_STARTS = 32
 ASCENT_MAXITER = 1000
 ASCENT_RTOL = 1e-14
-# Seeds the ascent's starts and the outer Nelder-Mead's random starts.
+# Seeds the ascent's starts and the descent's random block rotations.
 SEED = 7
 
 
@@ -266,8 +276,7 @@ def msc_two_qubit(state: DensityMatrix) -> MscResult:
             f"{NEAR_DEGENERATE_TOL:.0e}: the reference basis is ill-conditioned",
         )
     m = m[0]
-    m_op = np.array([[1 + m[2], m[0] - 1j * m[1]], [m[0] + 1j * m[1], 1 - m[2]]]) / 2
-    steered, _ = steer(state, m_op)
+    steered, _ = steer(state, qubit_state(m))
     return MscResult(
         value=float(value[0]),
         optimal_m=m,
@@ -320,22 +329,26 @@ def _whitened_blocks(rho4: np.ndarray, dims, vectors: np.ndarray) -> tuple[np.nd
     return np.einsum("ca,pcd,de->pae", whiten.conj(), k, whiten), whiten
 
 
-def _maximize_rank1(rho4: np.ndarray, dims, vectors: np.ndarray):
-    """Largest steered coherence over Alice's kets in basis V; returns (value, psi, converged).
+def _maximize_rank1(rho4: np.ndarray, dims, vectors: np.ndarray, extra=None, maxiter: int = ASCENT_MAXITER):
+    """Steered coherence ascent over Alice's kets in basis V; returns (lam, phi, settled, R) per start.
 
     The coherence of psi = R phi (unit phi) is 2 sum_p |phi^dag A_p phi|,
     and 2|z| = max over unit w of (conj(w) z + w conj(z)), so the maximum
     is the largest lambda_max(H(w)), H(w) = sum_p (conj(w_p) A_p + w_p A_p^dag).
     Two exact steps alternate and never lower lambda: w_p = phase(phi^dag
     A_p phi), then phi = the top eigenvector of H(w). ASCENT_STARTS seeded
-    starts run as one batch; converged is the winner's stop test.
+    starts, then the rows of extra (unit phi, such as earlier witnesses),
+    run as one batch for at most maxiter steps; settled is each start's stop
+    test.
     """
     a, whiten = _whitened_blocks(rho4, dims, vectors)
     rng = np.random.default_rng(SEED)
     shape = (ASCENT_STARTS, whiten.shape[1])
     phi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    lam = np.full(ASCENT_STARTS, -np.inf)
-    for _ in range(ASCENT_MAXITER):
+    if extra is not None:
+        phi = np.concatenate([phi, extra])
+    lam = np.full(len(phi), -np.inf)
+    for _ in range(maxiter):
         w = np.exp(1j * np.angle(np.einsum("sa,pab,sb->sp", phi.conj(), a, phi)))
         h = np.einsum("sp,pab->sab", w.conj(), a)
         vals, vecs = np.linalg.eigh(h + h.conj().transpose(0, 2, 1))
@@ -343,9 +356,7 @@ def _maximize_rank1(rho4: np.ndarray, dims, vectors: np.ndarray):
         lam, phi = vals[:, -1], vecs[:, :, -1]
         if settled.all():
             break
-    best = int(np.argmax(lam))
-    psi = whiten @ phi[best]
-    return float(lam[best]), psi / np.linalg.norm(psi), bool(settled[best])
+    return lam, phi, settled, whiten
 
 
 def _expm_i_hermitian(h: np.ndarray) -> np.ndarray:
@@ -353,27 +364,77 @@ def _expm_i_hermitian(h: np.ndarray) -> np.ndarray:
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
-def _hermitian_from_params(y: np.ndarray, k: int) -> np.ndarray:
-    h = np.zeros((k, k), dtype=complex)
-    h[np.diag_indices(k)] = y[:k]
-    pos = k
-    for r in range(k):
-        for c in range(r + 1, k):
-            h[r, c] = y[pos] + 1j * y[pos + 1]
-            h[c, r] = y[pos] - 1j * y[pos + 1]
-            pos += 2
-    return h
+def _witnesses(lam: np.ndarray, phi: np.ndarray, rtol: float) -> tuple[float, np.ndarray]:
+    """The top lambda and the starts within rtol * max(1, top) of it, best first, one per ray (overlap < 1 - rtol)."""
+    top = float(lam.max())
+    keep: list[int] = []
+    for s in np.argsort(-lam, kind="stable"):
+        if lam[s] < top - rtol * max(1.0, top):
+            break
+        if all(abs(np.vdot(phi[k], phi[s])) < 1.0 - rtol for k in keep):
+            keep.append(int(s))
+    return top, phi[keep]
 
 
-def _rotated_vectors(vectors: np.ndarray, blocks, y: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    pos = 0
-    for blk in blocks:
-        k = len(blk)
-        h = _hermitian_from_params(y[pos : pos + k * k], k)
-        out[:, blk] = out[:, blk] @ _expm_i_hermitian(h)
-        pos += k * k
-    return out
+def _witness_gradient(rho4: np.ndarray, dims, vectors: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """G with d/dt coherence(psi, V exp(itH)) = tr(G H) at t = 0: the Hermitian part of i(P^dag B - B P^dag).
+
+    B = V^dag S V for psi's unnormalized steered operator S and P_ij = B_ij/|B_ij| off the
+    diagonal, since d|B_ij| = Re(conj(P_ij) dB_ij) and dB = i(BH - HB).
+    """
+    s, _ = _steer_raw(rho4, np.outer(psi, psi.conj()), dims)
+    b = vectors.conj().T @ s @ vectors
+    mag = np.abs(b)
+    np.fill_diagonal(mag, 0.0)
+    p = np.divide(b, mag, out=np.zeros_like(b), where=mag > 0)
+    c = 1j * (p.conj().T @ b - b @ p.conj().T)
+    return (c + c.conj().T) / 2
+
+
+def _min_norm_point(g: np.ndarray) -> np.ndarray:
+    """Frank-Wolfe min-norm point of the convex hull of the Hermitian matrices g[k]."""
+    q = np.einsum("kij,lij->kl", g.conj(), g).real
+    e = np.eye(len(g))
+    x = e[np.argmin(np.diag(q))]
+    for _ in range(100):
+        qx = q @ x
+        k = int(np.argmin(qx))
+        gap = x @ qx - qx[k]
+        # Every G_k then has <G_k, X> >= 0.999 |X|^2: -X descends for all.
+        if gap <= 1e-3 * (x @ qx):
+            break
+        # Exact line search toward vertex k: |G_k - X|^2 = q_kk - 2 (Qx)_k + x.Qx.
+        x = x + min(1.0, gap / (q[k, k] - qx[k] + gap)) * (e[k] - x)
+    return np.einsum("k,kij->ij", x, g)
+
+
+def _descend(rho4: np.ndarray, dims, vectors: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Armijo descent of the inner maximum over V -> V exp(-i t D/|D|); returns the end basis.
+
+    D is the min-norm point of the masked gradients of the witnesses within rtol of the top, so -D
+    lowers each at rate >= |D| to first order. When no step of DESCENT_STEP_FLOOR or more passes,
+    rtol tightens to the next WITNESS_RTOLS entry: an rtol-stationary point need not be stationary.
+    """
+    lam, phi, _, whiten = _maximize_rank1(rho4, dims, vectors, maxiter=TRIAL_MAXITER)
+    rtols = iter(WITNESS_RTOLS)
+    rtol, t = next(rtols), 1.0
+    for _ in range(DESCENT_MAXITER):
+        value, wit = _witnesses(lam, phi, rtol)
+        grads = np.array([_witness_gradient(rho4, dims, vectors, whiten @ f) for f in wit]) * mask
+        d = _min_norm_point(grads)
+        norm = np.linalg.norm(d)
+        while norm > 0.0 and t >= DESCENT_STEP_FLOOR:
+            trial = vectors @ _expm_i_hermitian(-t / norm * d)
+            trial_lam, trial_phi, _, _ = _maximize_rank1(rho4, dims, trial, wit, TRIAL_MAXITER)
+            if trial_lam.max() <= value - t * norm / 2:
+                vectors, lam, phi, t = trial, trial_lam, trial_phi, min(1.0, 2 * t)
+                break
+            t /= 2
+        else:
+            rtol, t = next(rtols, None), 1.0
+            if rtol is None:
+                break
+    return vectors
 
 
 def msc_general(state: DensityMatrix) -> MscResult:
@@ -381,9 +442,11 @@ def msc_general(state: DensityMatrix) -> MscResult:
 
     Maximizes the steered l1 coherence in the eigenbasis of Bob's marginal
     over rank-one POVM elements by the phase-lifted eigen-ascent. Degenerate
-    marginals trigger an infimum over the eigenbasis freedom of every
-    degenerate subspace, parameterized by unitaries exp(iH) on those blocks.
-    The value is the coherence of the witness steered state.
+    marginals take the infimum over the eigenbasis freedom of every
+    degenerate block: a witness-gradient descent (_descend) from the
+    eigenbasis and DESCENT_STARTS - 1 seeded random block rotations, keeping
+    the end basis whose full ascent is lowest. The value is the coherence of
+    the witness steered state.
     """
     if not state.is_bipartite:
         raise NotBipartite(f"need a bipartite state, got dims {state.dims}")
@@ -393,33 +456,24 @@ def msc_general(state: DensityMatrix) -> MscResult:
     eigs, basis = eigen_hermitian(partial_trace(state, 1).matrix)
     rho4 = state.matrix
 
-    ref = basis
+    def solve(vectors):
+        lam, phi, settled, whiten = _maximize_rank1(rho4, state.dims, vectors)
+        best = int(np.argmax(lam))
+        psi = whiten @ phi[best]
+        return float(lam[best]), psi / np.linalg.norm(psi), bool(settled[best]), vectors
+
+    starts = [basis.vectors]
     if basis.degenerate:
-        blocks = degenerate_blocks(eigs, DEGENERACY_TOL)
-        n_params = sum(len(b) ** 2 for b in blocks)
+        mask = np.zeros((db, db), dtype=bool)
+        for blk in degenerate_blocks(eigs, DEGENERACY_TOL):
+            mask[np.ix_(blk, blk)] = True
         rng = np.random.default_rng(SEED)
-        outer_starts = [np.zeros(n_params)] + [
-            rng.uniform(-np.pi, np.pi, n_params) for _ in range(OUTER_GENERAL_STARTS - 1)
-        ]
-
-        def inner_value(y):
-            return _maximize_rank1(rho4, state.dims, _rotated_vectors(basis.vectors, blocks, y))[0]
-
-        # Multistart simplex search over the generator entries; the cap on
-        # outer iterations is routine (the final value comes from the inner
-        # solve below), so it does not mark the result unconverged.
-        best_y = outer_starts[0]
-        best_outer = inner_value(best_y)
-        for y0 in outer_starts:
-            y, fy, _ = nelder_mead(
-                inner_value, y0, step=0.4, xatol=1e-4, fatol=1e-6, maxiter=OUTER_GENERAL_MAXITER
-            )
-            if fy < best_outer:
-                best_outer = fy
-                best_y = y
-        ref = Basis(vectors=_rotated_vectors(basis.vectors, blocks, best_y), degenerate=True)
-
-    _, psi, converged = _maximize_rank1(rho4, state.dims, ref.vectors)
+        shape = (DESCENT_STARTS - 1, db, db)
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        starts += [basis.vectors @ _expm_i_hermitian((h + h.conj().T) * mask) for h in g]
+        starts = [_descend(rho4, state.dims, v, mask) for v in starts]
+    _, psi, converged, vectors = min((solve(v) for v in starts), key=lambda c: c[0])
+    ref = Basis(vectors=vectors, degenerate=basis.degenerate)
     steered, _ = steer(state, ket_dm(psi))
     return MscResult(
         value=coherence_l1(steered, ref),

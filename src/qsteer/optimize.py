@@ -1,10 +1,8 @@
-"""Small dependency-free optimizers, deterministic for fixed inputs.
+"""The exact trust-region step, deterministic for fixed inputs.
 
-A Nelder-Mead simplex on plain Python floats for the general path's outer
-search over the basis freedom of a degenerate marginal, and an exact
-trust-region step for the two-qubit path's inner problem: the largest
-|g + A u| over unit u, for one problem or a stack of them (one batched
-eigendecomposition, then the scalar secular Newton on each row).
+The two-qubit path's inner problem and the ellipsoid's largest radius: the
+largest |g + A u| over unit u, for one problem or a stack of them (one
+batched eigendecomposition, then the scalar secular Newton on each row).
 """
 
 from __future__ import annotations
@@ -12,79 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-
-def nelder_mead(f, x0, step=0.25, xatol=1e-10, fatol=1e-13, maxiter=400):
-    """Minimize f from x0; returns (x_best, f_best, converged).
-
-    f receives a list of floats. step sets the initial simplex size.
-    Convergence when both the simplex diameter and the function spread fall
-    below xatol / fatol; converged is False when maxiter is exhausted first.
-    """
-    x0 = [float(v) for v in x0]
-    n = len(x0)
-    # Adaptive coefficients help a little for n > 2.
-    nf = max(n, 2)
-    alpha, gamma = 1.0, 1.0 + 2.0 / nf
-    rho, sigma = 0.75 - 0.5 / nf, 1.0 - 1.0 / nf
-
-    simplex = [(x0, f(x0))]
-    for i in range(n):
-        x = list(x0)
-        x[i] += step
-        simplex.append((x, f(x)))
-
-    for _ in range(maxiter):
-        simplex.sort(key=lambda t: t[1])
-        best_x, best_f = simplex[0]
-        worst_x, worst_f = simplex[-1]
-
-        if worst_f - best_f <= fatol:
-            diam = max(
-                abs(p[i] - best_x[i]) for p, _ in simplex[1:] for i in range(n)
-            )
-            if diam <= xatol:
-                return best_x, best_f, True
-
-        centroid = [0.0] * n
-        for p, _ in simplex[:-1]:
-            for i in range(n):
-                centroid[i] += p[i]
-        delta = [0.0] * n
-        for i in range(n):
-            centroid[i] /= n
-            delta[i] = alpha * (centroid[i] - worst_x[i])
-
-        xr = [centroid[i] + delta[i] for i in range(n)]
-        fr = f(xr)
-        if fr < best_f:
-            xe = [centroid[i] + gamma * delta[i] for i in range(n)]
-            fe = f(xe)
-            simplex[-1] = (xe, fe) if fe < fr else (xr, fr)
-            continue
-        if fr < simplex[-2][1]:
-            simplex[-1] = (xr, fr)
-            continue
-        if fr < worst_f:
-            xc = [centroid[i] + rho * delta[i] for i in range(n)]
-            fc = f(xc)
-            if fc <= fr:
-                simplex[-1] = (xc, fc)
-                continue
-        else:
-            xc = [centroid[i] - rho * delta[i] for i in range(n)]
-            fc = f(xc)
-            if fc < worst_f:
-                simplex[-1] = (xc, fc)
-                continue
-        shrunk = []
-        for p, _ in simplex[1:]:
-            xs = [best_x[i] + sigma * (p[i] - best_x[i]) for i in range(n)]
-            shrunk.append((xs, f(xs)))
-        simplex = [simplex[0]] + shrunk
-
-    simplex.sort(key=lambda t: t[1])
-    return simplex[0][0], simplex[0][1], False
 
 
 def max_norm_on_sphere(g, a):

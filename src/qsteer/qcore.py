@@ -183,12 +183,12 @@ def degenerate_blocks(eigenvalues: np.ndarray, tol: float) -> list[list[int]]:
     return blocks
 
 
-def eigen_hermitian(h: np.ndarray, tol_degenerate: float = DEGENERACY_TOL):
+def eigen_hermitian(h: np.ndarray):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues, basis): eigenvalues in descending order, basis
     columns phase-fixed, basis.degenerate set when any adjacent eigenvalue
-    gap is below tol_degenerate. Ties are broken by lexicographic order of
+    gap is below DEGENERACY_TOL. Ties are broken by lexicographic order of
     the phase-fixed eigenvectors.
     """
     h = np.asarray(h, dtype=complex)
@@ -205,7 +205,7 @@ def eigen_hermitian(h: np.ndarray, tol_degenerate: float = DEGENERACY_TOL):
     def key(k):
         return tuple(np.round(np.concatenate([vecs[:, k].real, vecs[:, k].imag]), 12))
 
-    blocks = degenerate_blocks(w, tol_degenerate)
+    blocks = degenerate_blocks(w, DEGENERACY_TOL)
     for blk in blocks:
         vecs[:, blk] = vecs[:, sorted(blk, key=key)]
     return w, Basis(vectors=vecs, degenerate=bool(blocks))

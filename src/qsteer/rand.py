@@ -10,7 +10,7 @@ import numpy as np
 
 from .channels import KrausChannel, kraus_channel, unital_pauli
 from .errors import SingularMarginal
-from .qcore import Basis, DensityMatrix, validate_density
+from .qcore import Basis, DensityMatrix, partial_trace, validate_density
 from .steering import canonical_transform
 
 
@@ -42,9 +42,26 @@ def random_two_qubit(rng: np.random.Generator) -> DensityMatrix:
     return random_density_matrix(rng, (2, 2))
 
 
-def random_canonical(rng: np.random.Generator, max_tries: int = 50) -> DensityMatrix:
+def random_bob_filtered(rng: np.random.Generator, dims, spectrum=None) -> DensityMatrix:
+    """Random state conjugated on Bob by F and renormalized: rho_B = I/d_B, or diag(spectrum) normalized.
+
+    F = rho_B^(-1/2) whitens Bob's marginal; with a spectrum s,
+    F = diag(sqrt(s)) U^dag rho_B^(-1/2), U holding rho_B's eigenvectors,
+    so F rho_B F^dag = diag(s). Equal entries of s give degenerate blocks.
+    """
+    state = random_density_matrix(rng, dims)
+    w, u = np.linalg.eigh(partial_trace(state, 1).matrix)
+    f = (u * w**-0.5) @ u.conj().T
+    if spectrum is not None:
+        f = (np.sqrt(np.asarray(spectrum, dtype=float))[:, None] * u.conj().T) @ f
+    op = np.kron(np.eye(state.dims[0]), f)
+    out = op @ state.matrix @ op.conj().T
+    return validate_density(out / np.real(np.trace(out)), state.dims)
+
+
+def random_canonical(rng: np.random.Generator) -> DensityMatrix:
     """Random two-qubit state mapped to its canonical (a = 0) form."""
-    for _ in range(max_tries):
+    for _ in range(50):
         try:
             return canonical_transform(random_two_qubit(rng))
         except SingularMarginal:

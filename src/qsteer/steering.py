@@ -188,15 +188,15 @@ class Ellipsoid:
 def qse(state: DensityMatrix) -> Ellipsoid:
     """The quantum steering ellipsoid of a two-qubit state.
 
-    Center c, semiaxes the singular values of M, frame the eigenvectors of
-    M M^T, from the whitened Pauli form. Raises GeometryViolation when the
-    exact largest radius max |c + M u| exceeds 1 + BALL_TOL.
+    Center c, semiaxes the singular values of M and frame its left singular
+    vectors, from one svd of the whitened Pauli form's M (the square roots
+    of M M^T's eigenvalues would err by up to sqrt(eps) on a small axis).
+    Raises GeometryViolation when the exact largest radius max |c + M u|
+    exceeds 1 + BALL_TOL.
     """
     c, m_mat, _ = _whiten(pauli_decompose(state).theta)
-    w, f = np.linalg.eigh(m_mat @ m_mat.T)
-    order = np.argsort(-w, kind="stable")
-    semiaxes = np.sqrt(np.clip(w[order], 0.0, None))
-    frame = np.column_stack([_fix_phase(f[:, j]) for j in order])
+    f, semiaxes, _ = np.linalg.svd(m_mat)
+    frame = np.column_stack([_fix_phase(f[:, j]) for j in range(3)])
     worst = max_norm_on_sphere(c, m_mat)[0]
     if worst > 1 + BALL_TOL:
         raise GeometryViolation(

@@ -163,13 +163,13 @@ SEMI_CLASSICAL_TOL = 1e-8
 CREATION_MIN = 0.01
 
 
-def check_thm1(seed: int = DEFAULT_SEED, n_channels: int = 50, n_states: int = 200) -> CheckResult:
+def check_thm1(seed: int = DEFAULT_SEED) -> CheckResult:
     """Unital/semi-classical channels never increase the coherence; amplitude
     damping creates it from classical states."""
     rng = np.random.default_rng(seed)
-    states = [random_two_qubit(rng) for _ in range(n_states)]
+    states = [random_two_qubit(rng) for _ in range(200)]
     base_vals = [msc_two_qubit(s).value for s in states]
-    channels = [random_unital_channel(rng) for _ in range(n_channels)]
+    channels = [random_unital_channel(rng) for _ in range(50)]
 
     worst_increase = max(float((msc_sweep(s, channels)[0] - base).max()) for s, base in zip(states, base_vals))
 
@@ -196,12 +196,12 @@ THM2_TOL = 1e-8
 CHORD_TOL = 1e-6
 
 
-def check_thm2(seed: int = DEFAULT_SEED, n_states: int = 100) -> CheckResult:
+def check_thm2(seed: int = DEFAULT_SEED) -> CheckResult:
     """Canonical states: coherence <= longest semiaxis <= sqrt(1 - b^2);
     chord states saturate the bound."""
     rng = np.random.default_rng(seed)
     worst = -np.inf
-    for _ in range(n_states):
+    for _ in range(100):
         s = random_canonical(rng)
         ell = qse(s)
         val = msc_two_qubit(s).value
@@ -343,7 +343,7 @@ DLC_TOL = 1e-6
 DLC_UNITY_MIN = 0.99
 
 
-def check_dlc_bounds(seed: int = DEFAULT_SEED, n_states: int = 50) -> CheckResult:
+def check_dlc_bounds(seed: int = DEFAULT_SEED) -> CheckResult:
     """Segment-QSE states respect the interval bounds on their coherence.
 
     The equalized lower bound B1 sin(theta1) is exact for acute angles
@@ -357,7 +357,7 @@ def check_dlc_bounds(seed: int = DEFAULT_SEED, n_states: int = 50) -> CheckResul
     worst = -np.inf
     worst_acute = -np.inf
     n_acute = 0
-    for k in range(n_states):
+    for k in range(50):
         # Half the sample acute, half obtuse, with controlled angle.
         theta = rng.uniform(0.1, 0.47 * math.pi) if k % 2 == 0 else rng.uniform(0.53 * math.pi, 0.95 * math.pi)
         u1 = rng.standard_normal(3)
@@ -388,7 +388,7 @@ def check_dlc_bounds(seed: int = DEFAULT_SEED, n_states: int = 50) -> CheckResul
         val = msc_two_qubit(dlc_state(b1, b2, q).state).value
         reach = max(reach, val)
     lines = [
-        f"{n_states} random segment states: worst bound violation {worst:.3e} (tolerance {DLC_TOL:.0e})",
+        f"50 random segment states: worst bound violation {worst:.3e} (tolerance {DLC_TOL:.0e})",
         f"acute subsample ({n_acute} states): worst equalized-lower-bound excess {worst_acute:.3e}",
         f"unit-end obtuse family: best coherence {reach:.6f} (must reach {DLC_UNITY_MIN})",
     ]

@@ -20,9 +20,10 @@ from qsteer.msc import (
     sphere_sequence,
 )
 from qsteer.optimize import max_norm_on_sphere
-from qsteer.qcore import bloch_vector, pauli_compose, pauli_decompose, validate_density
+from qsteer.qcore import bloch_vector, eigen_hermitian, partial_trace, pauli_compose, pauli_decompose, validate_density
 from qsteer.rand import (
     random_basis,
+    random_bob_filtered,
     random_canonical,
     random_classical,
     random_density_matrix,
@@ -195,6 +196,43 @@ def test_general_degenerate_isotropic_qutrit():
     assert res.degenerate_path
     assert res.converged
     assert res.value == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------- degenerate branch (d_B >= 2): the witness-gradient descent ----------
+
+
+def test_general_degenerate_qubit_bob_equals_two_qubit():
+    # rho_B = I/2: the infimum over Bob's bases is the two-qubit path's
+    # certified b = 0 value.
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        st = random_bob_filtered(rng, (2, 2))
+        res = msc_general(st)
+        assert res.degenerate_path
+        assert abs(res.value - msc_two_qubit(st).value) <= 1e-10
+
+
+def test_general_degenerate_qutrit_bob_descends():
+    # rho_B = I/3; the Nelder-Mead search this descent replaced stopped at
+    # 0.5537770105423846 on this state.
+    rng = np.random.default_rng(8)
+    random_bob_filtered(rng, (2, 3))
+    st = random_bob_filtered(rng, (2, 3))
+    res = msc_general(st)
+    assert res.degenerate_path
+    assert res.converged
+    assert res.value <= 0.5537770105423846 - 1e-2
+    assert abs(res.value - coherence_l1(res.steered_state, res.reference_basis)) <= 1e-9
+
+
+def test_general_partly_degenerate_bob_keeps_the_lone_eigenvector():
+    # rho_B = diag(1.2, 0.9, 0.9)/3: only the 0.3 block may rotate.
+    st = random_bob_filtered(np.random.default_rng(5), (2, 3), (1.2, 0.9, 0.9))
+    _, eigenbasis = eigen_hermitian(partial_trace(st, 1).matrix)
+    res = msc_general(st)
+    assert res.degenerate_path
+    assert np.abs(res.reference_basis.vectors[:, 0] - eigenbasis.vectors[:, 0]).max() <= 1e-12
+    assert np.abs(res.reference_basis.vectors[:, 1:] - eigenbasis.vectors[:, 1:]).max() > 1e-3
 
 
 def _steer_by_hand(psi, m_op, da, db):

@@ -20,6 +20,7 @@ from qsteer.qcore import (
     validate_density,
 )
 from qsteer.rand import (
+    random_classical,
     random_density_matrix,
     random_two_qubit,
     random_unitary,
@@ -166,6 +167,12 @@ def test_qse_classical_segment():
     # Radial segment: two vanishing semiaxes, center along the segment.
     assert ell.semiaxes[1] <= 1e-10 and ell.semiaxes[2] <= 1e-10
     assert ell.semiaxes[0] > 0.1
+    # Random classical states have no exact zeros in M; the square root of
+    # an eigenvalue of M M^T would leave ~1e-8 on the middle axis.
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        semiaxes = qse(random_classical(rng)).semiaxes
+        assert semiaxes[1] <= 1e-12 and semiaxes[2] <= 1e-12
 
 
 def test_qse_canonical_center_is_bob(rng):
