@@ -97,10 +97,10 @@ DESCENT_MAXITER = 200
 DESCENT_STEP_FLOOR = 1e-6
 TRIAL_MAXITER = 15
 WITNESS_RTOLS = (1e-2, 1e-3, 1e-4)
-# The general path's eigen-ascent: seeded starts run as one batch, until
-# every start's lambda rises by at most ASCENT_RTOL * max(1, lambda) in one
-# step (roundoff makes a settled lambda jitter by ~1e-15), or ASCENT_MAXITER
-# steps.
+# The general path's eigen-ascent: a seeded start steps until its lambda
+# rises by at most ASCENT_RTOL * max(1, lambda) in one step (roundoff makes a
+# settled lambda jitter by ~1e-15), or ASCENT_MAXITER steps. The descent
+# also reads a predicted decrease below that as stationary.
 ASCENT_STARTS = 32
 ASCENT_MAXITER = 1000
 ASCENT_RTOL = 1e-14
@@ -338,8 +338,9 @@ def _maximize_rank1(rho4: np.ndarray, dims, vectors: np.ndarray, extra=None, max
     Two exact steps alternate and never lower lambda: w_p = phase(phi^dag
     A_p phi), then phi = the top eigenvector of H(w). ASCENT_STARTS seeded
     starts, then the rows of extra (unit phi, such as earlier witnesses),
-    run as one batch for at most maxiter steps; settled is each start's stop
-    test.
+    step as one batch of the live starts for at most maxiter steps; a start
+    settles, and leaves the batch, when its stop test passes, so its
+    trajectory does not depend on its batch mates.
     """
     a, whiten = _whitened_blocks(rho4, dims, vectors)
     rng = np.random.default_rng(SEED)
@@ -348,14 +349,21 @@ def _maximize_rank1(rho4: np.ndarray, dims, vectors: np.ndarray, extra=None, max
     if extra is not None:
         phi = np.concatenate([phi, extra])
     lam = np.full(len(phi), -np.inf)
+    settled = np.zeros(len(phi), dtype=bool)
+    # top, cur: the live starts' (lambda, phi); their rows are written on settling or after the last step.
+    live, top, cur = np.arange(len(phi)), lam, phi
     for _ in range(maxiter):
-        w = np.exp(1j * np.angle(np.einsum("sa,pab,sb->sp", phi.conj(), a, phi)))
+        w = np.exp(1j * np.angle(np.einsum("sa,pab,sb->sp", cur.conj(), a, cur)))
         h = np.einsum("sp,pab->sab", w.conj(), a)
         vals, vecs = np.linalg.eigh(h + h.conj().transpose(0, 2, 1))
-        settled = vals[:, -1] - lam <= ASCENT_RTOL * np.maximum(1.0, vals[:, -1])
-        lam, phi = vals[:, -1], vecs[:, :, -1]
-        if settled.all():
-            break
+        done = vals[:, -1] - top <= ASCENT_RTOL * np.maximum(1.0, vals[:, -1])
+        top, cur = vals[:, -1], vecs[:, :, -1]
+        if done.any():
+            lam[live], phi[live], settled[live] = top, cur, done
+            live, top, cur = live[~done], top[~done], cur[~done]
+            if not live.size:
+                break
+    lam[live], phi[live] = top, cur
     return lam, phi, settled, whiten
 
 
@@ -413,7 +421,8 @@ def _descend(rho4: np.ndarray, dims, vectors: np.ndarray, mask: np.ndarray) -> n
 
     D is the min-norm point of the masked gradients of the witnesses within rtol of the top, so -D
     lowers each at rate >= |D| to first order. When no step of DESCENT_STEP_FLOOR or more passes,
-    rtol tightens to the next WITNESS_RTOLS entry: an rtol-stationary point need not be stationary.
+    or the predicted decrease t|D| is within the value's roundoff (ASCENT_RTOL), rtol tightens to
+    the next WITNESS_RTOLS entry: an rtol-stationary point need not be stationary.
     """
     lam, phi, _, whiten = _maximize_rank1(rho4, dims, vectors, maxiter=TRIAL_MAXITER)
     rtols = iter(WITNESS_RTOLS)
@@ -423,7 +432,7 @@ def _descend(rho4: np.ndarray, dims, vectors: np.ndarray, mask: np.ndarray) -> n
         grads = np.array([_witness_gradient(rho4, dims, vectors, whiten @ f) for f in wit]) * mask
         d = _min_norm_point(grads)
         norm = np.linalg.norm(d)
-        while norm > 0.0 and t >= DESCENT_STEP_FLOOR:
+        while t >= DESCENT_STEP_FLOOR and t * norm > ASCENT_RTOL * max(1.0, value):
             trial = vectors @ _expm_i_hermitian(-t / norm * d)
             trial_lam, trial_phi, _, _ = _maximize_rank1(rho4, dims, trial, wit, TRIAL_MAXITER)
             if trial_lam.max() <= value - t * norm / 2:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis.strategies import floats, lists
 
+from qsteer import msc
 from qsteer.channels import amplitude_damping, apply_on_b
 from qsteer.coherence import coherence_l1
 from qsteer.errors import (
@@ -166,11 +167,23 @@ def test_oracle_alice_dimension_cap():
         msc_oracle(st, 100)
 
 
-def test_general_degenerate_werner():
+def _count_ascents(monkeypatch):
+    calls = []
+    ascent = msc._maximize_rank1
+    monkeypatch.setattr(msc, "_maximize_rank1", lambda *a, **kw: calls.append(1) or ascent(*a, **kw))
+    return calls
+
+
+def test_general_degenerate_werner(monkeypatch):
+    # Every basis gives p, so each descent start stops at once on roundoff:
+    # its first trial ascent, then the full ascent that values its end basis.
+    calls = _count_ascents(monkeypatch)
     for p in (0.3, 0.6, 0.9, 1.0):
+        calls.clear()
         res = msc_general(werner(p).state)
         assert res.degenerate_path
         assert res.value == pytest.approx(p, abs=1e-12)
+        assert len(calls) <= 2 * msc.DESCENT_STARTS
 
 
 @pytest.mark.parametrize("eps, degenerate", [(5e-10, True), (2e-9, False)])
@@ -189,13 +202,38 @@ def test_one_degeneracy_threshold_for_both_paths(eps, degenerate):
     assert general.value == pytest.approx(0.6, abs=1e-6)
 
 
-def test_general_degenerate_isotropic_qutrit():
+def test_general_degenerate_isotropic_qutrit(monkeypatch):
     # Every basis gives (d - 1) p by U x conj(U) covariance.
+    calls = _count_ascents(monkeypatch)
     phi = np.eye(3).reshape(-1) / np.sqrt(3)
     res = msc_general(validate_density(0.5 * np.outer(phi, phi) + 0.5 * np.eye(9) / 9, (3, 3)))
     assert res.degenerate_path
     assert res.converged
     assert res.value == pytest.approx(1.0, abs=1e-12)
+    assert len(calls) <= 2 * msc.DESCENT_STARTS
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3), (3, 4), (4, 4)])
+def test_ascent_start_does_not_depend_on_its_batch_mates(monkeypatch, dims):
+    # A settled start leaves the batch, so each start run alone (no seeded
+    # starts, the start passed as extra) returns its row of the full batch
+    # bit for bit.
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        st = random_density_matrix(rng, dims)
+        _, basis = eigen_hermitian(partial_trace(st, 1).matrix)
+        args = (st.matrix, st.dims, basis.vectors)
+        lam, phi, settled, _ = msc._maximize_rank1(*args)
+        seeded = np.random.default_rng(msc.SEED)
+        shape = (msc.ASCENT_STARTS, dims[0])
+        starts = seeded.standard_normal(shape) + 1j * seeded.standard_normal(shape)
+        with monkeypatch.context() as m:
+            m.setattr(msc, "ASCENT_STARTS", 0)
+            for s in range(0, len(starts), 5):
+                solo_lam, solo_phi, solo_settled, _ = msc._maximize_rank1(*args, starts[s : s + 1])
+                assert solo_lam[0] == lam[s]
+                assert np.array_equal(solo_phi[0], phi[s])
+                assert solo_settled[0] == settled[s]
 
 
 # ---------- degenerate branch (d_B >= 2): the witness-gradient descent ----------
