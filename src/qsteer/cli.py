@@ -57,7 +57,9 @@ def _number(text: str, flag: str, parse=float):
 def _parse_angle(text: str) -> float:
     text = text.strip().lower()
     if text.endswith("pi"):
-        return _number(text[:-2] or "1", "theta") * math.pi
+        # A bare or signed "pi" has the coefficient 1.
+        coeff = text[:-2]
+        return _number(coeff + "1" if coeff in ("", "+", "-") else coeff, "theta") * math.pi
     return _number(text, "theta")
 
 
@@ -256,10 +258,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except QsteerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (QsteerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

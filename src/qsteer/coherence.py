@@ -24,12 +24,7 @@ def coherence_l1(state: DensityMatrix, basis: Basis) -> float:
     """
     if state.dim != basis.dim:
         raise DimensionMismatch(f"state dimension {state.dim} != basis dimension {basis.dim}")
-    return _coherence_from_matrix(state.matrix, basis.vectors)
-
-
-def _coherence_from_matrix(matrix: np.ndarray, vectors: np.ndarray) -> float:
-    # Fast path shared with the optimizers: no validation, raw arrays.
-    p = vectors.conj().T @ matrix @ vectors
+    p = basis.vectors.conj().T @ state.matrix @ basis.vectors
     return float(np.abs(p).sum() - np.abs(np.diagonal(p)).sum())
 
 

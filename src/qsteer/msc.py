@@ -73,7 +73,7 @@ from .qcore import (
     unit_perpendicular,
     validate_pauli_forms,
 )
-from .steering import SINGULAR_MARGINAL_TOL, ZERO_PROBABILITY_TOL, _steer_raw, _whiten, steer
+from .steering import ZERO_PROBABILITY_TOL, _whiten, _whitened_map, steer
 
 TRIVIAL_A_TOL = 1e-9
 # Above DEGENERACY_TOL, a |b| below this still gets a warning: the reference
@@ -310,31 +310,14 @@ def msc_sweep(state: DensityMatrix, channels) -> tuple[np.ndarray, np.ndarray]:
 # ---------- general-dimension path ----------
 
 
-def _whitened_blocks(rho4: np.ndarray, dims, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whitened pair blocks A_p = R^dag K_p R, p = (i < j), and the map R.
+def _maximize_rank1(smap: np.ndarray, vectors: np.ndarray, extra=None, maxiter: int = ASCENT_MAXITER):
+    """Steered coherence ascent over whitened kets phi in basis V; returns (lam, phi, settled) per start.
 
-    Alice's ket psi steers to pm_ij = psi^dag K_ij psi in the reference basis
-    V, K_ij[c, a] = sum_{b,d} conj(V_bi) rho[(c, b), (a, d)] V_dj, with
-    probability psi^dag rho_A psi. R = U diag(w^-1/2) over the eigenvalues
-    w of rho_A above SINGULAR_MARGINAL_TOL spans rho_A's support (kets
-    outside it steer nothing), so psi = R phi has probability |phi|^2.
-    """
-    da, db = dims
-    r = rho4.reshape(da, db, da, db)
-    w, u = np.linalg.eigh(np.einsum("ibjb->ij", r))
-    keep = w > SINGULAR_MARGINAL_TOL
-    whiten = u[:, keep] * w[keep] ** -0.5
-    iu, ju = np.triu_indices(db, 1)
-    k = np.einsum("bi,cbad,dj->ijca", vectors.conj(), r, vectors)[iu, ju]
-    return np.einsum("ca,pcd,de->pae", whiten.conj(), k, whiten), whiten
-
-
-def _maximize_rank1(rho4: np.ndarray, dims, vectors: np.ndarray, extra=None, maxiter: int = ASCENT_MAXITER):
-    """Steered coherence ascent over Alice's kets in basis V; returns (lam, phi, settled, R) per start.
-
-    The coherence of psi = R phi (unit phi) is 2 sum_p |phi^dag A_p phi|,
-    and 2|z| = max over unit w of (conj(w) z + w conj(z)), so the maximum
-    is the largest lambda_max(H(w)), H(w) = sum_p (conj(w_p) A_p + w_p A_p^dag).
+    In basis V the whitened steering map T (steering._whitened_map) gives
+    pair blocks A_p = sum_{b,d} conj(V_bi) T[b, d] V_dj, p = (i < j), and
+    unit phi the coherence 2 sum_p |phi^dag A_p phi|. As 2|z| = max over
+    unit w of (conj(w) z + w conj(z)), the maximum is the largest
+    lambda_max(H(w)), H(w) = sum_p (conj(w_p) A_p + w_p A_p^dag).
     Two exact steps alternate and never lower lambda: w_p = phase(phi^dag
     A_p phi), then phi = the top eigenvector of H(w). ASCENT_STARTS seeded
     starts, then the rows of extra (unit phi, such as earlier witnesses),
@@ -342,9 +325,10 @@ def _maximize_rank1(rho4: np.ndarray, dims, vectors: np.ndarray, extra=None, max
     settles, and leaves the batch, when its stop test passes, so its
     trajectory does not depend on its batch mates.
     """
-    a, whiten = _whitened_blocks(rho4, dims, vectors)
+    iu, ju = np.triu_indices(len(vectors), 1)
+    a = np.einsum("bi,bdxy,dj->ijxy", vectors.conj(), smap, vectors)[iu, ju]
     rng = np.random.default_rng(SEED)
-    shape = (ASCENT_STARTS, whiten.shape[1])
+    shape = (ASCENT_STARTS, smap.shape[2])
     phi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     if extra is not None:
         phi = np.concatenate([phi, extra])
@@ -364,7 +348,7 @@ def _maximize_rank1(rho4: np.ndarray, dims, vectors: np.ndarray, extra=None, max
             if not live.size:
                 break
     lam[live], phi[live] = top, cur
-    return lam, phi, settled, whiten
+    return lam, phi, settled
 
 
 def _expm_i_hermitian(h: np.ndarray) -> np.ndarray:
@@ -384,14 +368,13 @@ def _witnesses(lam: np.ndarray, phi: np.ndarray, rtol: float) -> tuple[float, np
     return top, phi[keep]
 
 
-def _witness_gradient(rho4: np.ndarray, dims, vectors: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """G with d/dt coherence(psi, V exp(itH)) = tr(G H) at t = 0: the Hermitian part of i(P^dag B - B P^dag).
+def _witness_gradient(smap: np.ndarray, vectors: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """G with d/dt coherence(phi, V exp(itH)) = tr(G H) at t = 0: the Hermitian part of i(P^dag B - B P^dag).
 
-    B = V^dag S V for psi's unnormalized steered operator S and P_ij = B_ij/|B_ij| off the
-    diagonal, since d|B_ij| = Re(conj(P_ij) dB_ij) and dB = i(BH - HB).
+    B = V^dag S V for the whitened ket phi's unnormalized steered operator S = phi^dag T phi and
+    P_ij = B_ij/|B_ij| off the diagonal, since d|B_ij| = Re(conj(P_ij) dB_ij) and dB = i(BH - HB).
     """
-    s, _ = _steer_raw(rho4, np.outer(psi, psi.conj()), dims)
-    b = vectors.conj().T @ s @ vectors
+    b = vectors.conj().T @ np.einsum("x,bdxy,y->bd", phi.conj(), smap, phi) @ vectors
     mag = np.abs(b)
     np.fill_diagonal(mag, 0.0)
     p = np.divide(b, mag, out=np.zeros_like(b), where=mag > 0)
@@ -416,7 +399,7 @@ def _min_norm_point(g: np.ndarray) -> np.ndarray:
     return np.einsum("k,kij->ij", x, g)
 
 
-def _descend(rho4: np.ndarray, dims, vectors: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _descend(smap: np.ndarray, vectors: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Armijo descent of the inner maximum over V -> V exp(-i t D/|D|); returns the end basis.
 
     D is the min-norm point of the masked gradients of the witnesses within rtol of the top, so -D
@@ -424,17 +407,17 @@ def _descend(rho4: np.ndarray, dims, vectors: np.ndarray, mask: np.ndarray) -> n
     or the predicted decrease t|D| is within the value's roundoff (ASCENT_RTOL), rtol tightens to
     the next WITNESS_RTOLS entry: an rtol-stationary point need not be stationary.
     """
-    lam, phi, _, whiten = _maximize_rank1(rho4, dims, vectors, maxiter=TRIAL_MAXITER)
+    lam, phi, _ = _maximize_rank1(smap, vectors, maxiter=TRIAL_MAXITER)
     rtols = iter(WITNESS_RTOLS)
     rtol, t = next(rtols), 1.0
     for _ in range(DESCENT_MAXITER):
         value, wit = _witnesses(lam, phi, rtol)
-        grads = np.array([_witness_gradient(rho4, dims, vectors, whiten @ f) for f in wit]) * mask
+        grads = np.array([_witness_gradient(smap, vectors, f) for f in wit]) * mask
         d = _min_norm_point(grads)
         norm = np.linalg.norm(d)
         while t >= DESCENT_STEP_FLOOR and t * norm > ASCENT_RTOL * max(1.0, value):
             trial = vectors @ _expm_i_hermitian(-t / norm * d)
-            trial_lam, trial_phi, _, _ = _maximize_rank1(rho4, dims, trial, wit, TRIAL_MAXITER)
+            trial_lam, trial_phi, _ = _maximize_rank1(smap, trial, wit, TRIAL_MAXITER)
             if trial_lam.max() <= value - t * norm / 2:
                 vectors, lam, phi, t = trial, trial_lam, trial_phi, min(1.0, 2 * t)
                 break
@@ -463,10 +446,10 @@ def msc_general(state: DensityMatrix) -> MscResult:
     if da > 4 or db > 4:
         raise DimensionTooLarge(f"general path supports subsystem dimensions <= 4, got {state.dims}")
     eigs, basis = eigen_hermitian(partial_trace(state, 1).matrix)
-    rho4 = state.matrix
+    smap, whiten = _whitened_map(state)
 
     def solve(vectors):
-        lam, phi, settled, whiten = _maximize_rank1(rho4, state.dims, vectors)
+        lam, phi, settled = _maximize_rank1(smap, vectors)
         best = int(np.argmax(lam))
         psi = whiten @ phi[best]
         return float(lam[best]), psi / np.linalg.norm(psi), bool(settled[best]), vectors
@@ -480,7 +463,7 @@ def msc_general(state: DensityMatrix) -> MscResult:
         shape = (DESCENT_STARTS - 1, db, db)
         g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         starts += [basis.vectors @ _expm_i_hermitian((h + h.conj().T) * mask) for h in g]
-        starts = [_descend(rho4, state.dims, v, mask) for v in starts]
+        starts = [_descend(smap, v, mask) for v in starts]
     _, psi, converged, vectors = min((solve(v) for v in starts), key=lambda c: c[0])
     ref = Basis(vectors=vectors, degenerate=basis.degenerate)
     steered, _ = steer(state, ket_dm(psi))

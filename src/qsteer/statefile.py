@@ -43,6 +43,6 @@ def save_state(state: DensityMatrix, path) -> None:
 def load_state(path) -> DensityMatrix:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"not a valid state file: {exc}") from exc
     return state_from_dict(doc)

@@ -41,6 +41,7 @@ from .qcore import (
     SCHMIDT_FLOOR,
     bloch_vector,
     ket_dm,
+    partial_trace,
     qubit_state,
     unit_perpendicular,
     validate_density,
@@ -313,7 +314,7 @@ def x_state(diagonal, anti_diagonal) -> StateFamilyResult:
     rho[2, 1] = np.conj(z[1])
     state = validate_density(rho, (2, 2))
     ell = qse(state)
-    bob = bloch_vector(np.einsum("aiaj->ij", rho.reshape(2, 2, 2, 2)))
+    bob = bloch_vector(partial_trace(state, 1).matrix)
     b_norm = np.linalg.norm(bob)
     if b_norm > 1e-9:
         align = np.abs(ell.frame.T @ (bob / b_norm))

@@ -1,11 +1,11 @@
 """Steering of bipartite states by POVM elements on Alice's side.
 
 Covers the steered-state map, its two-qubit Bloch form, the canonical
-(maximally-mixed-Alice) transform, and the quantum steering ellipsoid: the
-set of Bloch vectors Bob's qubit can be steered to. The ellipsoid comes from
-the whitened Pauli form, which has a = 0, so the steered set is the image
-{c + M u : |u| = 1} of the measurement sphere; its axes are the singular
-directions of M.
+(maximally-mixed-Alice) transform, the whitened steering map of the general
+MSC path, and the quantum steering ellipsoid: the set of Bloch vectors
+Bob's qubit can be steered to. The ellipsoid comes from the whitened Pauli
+form, which has a = 0, so the steered set is the image {c + M u : |u| = 1}
+of the measurement sphere; its axes are the singular directions of M.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .qcore import (
     _fix_phase,
     dag,
     fibonacci_sphere,
+    partial_trace,
     pauli_decompose,
     validate_density,
 )
@@ -62,14 +63,6 @@ def validate_povm_element(matrix: np.ndarray) -> np.ndarray:
     return m
 
 
-def _steer_raw(rho4: np.ndarray, m_op: np.ndarray, dims) -> tuple[np.ndarray, float]:
-    # Unnormalized steered operator tr_A((M x 1) rho) and its probability.
-    da, db = dims
-    r = rho4.reshape(da, db, da, db)
-    out = np.einsum("ac,cbad->bd", m_op, r)
-    return out, float(np.real(np.trace(out)))
-
-
 def steer(state: DensityMatrix, m_op: np.ndarray) -> tuple[DensityMatrix, float]:
     """Bob's steered state and the outcome probability for POVM element M.
 
@@ -85,7 +78,10 @@ def steer(state: DensityMatrix, m_op: np.ndarray) -> tuple[DensityMatrix, float]
         raise DimensionMismatch(
             f"POVM element dimension {m_op.shape[0]} != Alice dimension {state.dims[0]}"
         )
-    out, p = _steer_raw(state.matrix, m_op, state.dims)
+    # The unnormalized steered operator tr_A((M x 1) rho) and its trace.
+    da, db = state.dims
+    out = np.einsum("ac,cbad->bd", m_op, state.matrix.reshape(da, db, da, db))
+    p = float(np.real(np.trace(out)))
     if p <= ZERO_PROBABILITY_TOL:
         raise ZeroProbability(f"outcome probability {p:.3e} below threshold {ZERO_PROBABILITY_TOL:.0e}")
     return validate_density((out + dag(out)) / (2 * p), (state.dims[1],)), p
@@ -121,13 +117,26 @@ def canonical_transform(state: DensityMatrix) -> DensityMatrix:
     """
     if not state.is_bipartite:
         raise NotBipartite(f"canonical transform needs a bipartite state, got dims {state.dims}")
-    da, db = state.dims
-    r = state.matrix.reshape(da, db, da, db)
-    op = np.kron(_inverse_sqrt(np.einsum("ibjb->ij", r)), np.eye(db))
+    op = np.kron(_inverse_sqrt(partial_trace(state, 0).matrix), np.eye(state.dims[1]))
     out = op @ state.matrix @ op
     out = (out + dag(out)) / 2
     out /= np.real(np.trace(out))
     return validate_density(out, state.dims)
+
+
+def _whitened_map(state: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The whitened steering map T of a bipartite state and its whitening R.
+
+    R = U diag(w^-1/2) over the eigenvalues w of rho_A above
+    SINGULAR_MARGINAL_TOL spans rho_A's support (kets outside it steer
+    nothing), and T[b, d] = R^dag rho_bd R. Alice's ket psi = R phi steers
+    to the unnormalized operator phi^dag T phi with probability |phi|^2.
+    """
+    da, db = state.dims
+    w, u = np.linalg.eigh(partial_trace(state, 0).matrix)
+    keep = w > SINGULAR_MARGINAL_TOL
+    r = u[:, keep] * w[keep] ** -0.5
+    return np.einsum("cx,cbad,ay->bdxy", r.conj(), state.matrix.reshape(da, db, da, db), r), r
 
 
 def _whiten(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

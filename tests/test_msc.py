@@ -34,7 +34,7 @@ from qsteer.rand import (
     random_unitary,
 )
 from qsteer.states import classical_state, maximally_obese, rho_c, rho_p, werner
-from qsteer.steering import qse
+from qsteer.steering import _whitened_map, qse
 
 
 def test_werner_value():
@@ -222,15 +222,15 @@ def test_ascent_start_does_not_depend_on_its_batch_mates(monkeypatch, dims):
     for _ in range(3):
         st = random_density_matrix(rng, dims)
         _, basis = eigen_hermitian(partial_trace(st, 1).matrix)
-        args = (st.matrix, st.dims, basis.vectors)
-        lam, phi, settled, _ = msc._maximize_rank1(*args)
+        args = (_whitened_map(st)[0], basis.vectors)
+        lam, phi, settled = msc._maximize_rank1(*args)
         seeded = np.random.default_rng(msc.SEED)
         shape = (msc.ASCENT_STARTS, dims[0])
         starts = seeded.standard_normal(shape) + 1j * seeded.standard_normal(shape)
         with monkeypatch.context() as m:
             m.setattr(msc, "ASCENT_STARTS", 0)
             for s in range(0, len(starts), 5):
-                solo_lam, solo_phi, solo_settled, _ = msc._maximize_rank1(*args, starts[s : s + 1])
+                solo_lam, solo_phi, solo_settled = msc._maximize_rank1(*args, starts[s : s + 1])
                 assert solo_lam[0] == lam[s]
                 assert np.array_equal(solo_phi[0], phi[s])
                 assert solo_settled[0] == settled[s]
@@ -261,6 +261,27 @@ def test_general_degenerate_qutrit_bob_descends():
     assert res.converged
     assert res.value <= 0.5537770105423846 - 1e-2
     assert abs(res.value - coherence_l1(res.steered_state, res.reference_basis)) <= 1e-9
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)])
+def test_witness_gradient_is_the_derivative_along_block_rotations(dims):
+    # tr(G H) against a central difference of the witness coherence along
+    # V exp(itH); the rate is smooth where no off-diagonal entry of B is 0.
+    rng = np.random.default_rng(17)
+    st = random_density_matrix(rng, dims)
+    smap, _ = _whitened_map(st)
+    vectors = random_unitary(rng, dims[1])
+    phi = random_pure_ket(rng, smap.shape[2])
+    g = rng.standard_normal((dims[1], dims[1])) + 1j * rng.standard_normal((dims[1], dims[1]))
+    h = g + g.conj().T
+
+    def coherence(t):
+        v = vectors @ msc._expm_i_hermitian(t * h)
+        b = v.conj().T @ np.einsum("x,bdxy,y->bd", phi.conj(), smap, phi) @ v
+        return np.abs(b).sum() - np.abs(np.diag(b)).sum()
+
+    rate = np.trace(msc._witness_gradient(smap, vectors, phi) @ h).real
+    assert rate == pytest.approx((coherence(1e-6) - coherence(-1e-6)) / 2e-6, rel=1e-7)
 
 
 def test_general_partly_degenerate_bob_keeps_the_lone_eigenvector():

@@ -138,6 +138,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dims": [2], "matrix": [[[1.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]}))
     assert main(["msc", str(bad)]) == 2
+    # Unreadable input or output: a binary state file, a directory as the
+    # state file or as the CSV output.
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(bytes(range(256)))
+    assert main(["msc", str(binary)]) == 2
+    assert main(["msc", str(tmp_path)]) == 2
+    assert main(["sweep", "--family", "werner", "--p", "0.5", "--grid", "3", "--out", str(tmp_path)]) == 2
     assert main(["msc", "--family", "werner"]) == 2  # missing --p
     assert main(["msc"]) == 2  # no input at all
     assert main(["qse", "--family", "werner", "--p", "2.0"]) == 2
@@ -148,6 +155,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["sweep", "--family", "werner", "--p", "0.5", "--channel", "unital", "--e", "nan,0,0,1"]) == 2
     assert main(["msc", "--family", "rho-p", "--p", "0.5", "--theta", "x"]) == 2
     assert main(["msc", "--family", "rho-p", "--p", "0.5", "--theta", "inf"]) == 2
+    # A bare sign before pi is +-1 pi.
+    assert main(["msc", "--family", "rho-p", "--p", "0.5", "--theta=-pi"]) == 0
+    minus_pi = capsys.readouterr().out
+    assert main(["msc", "--family", "rho-p", "--p", "0.5", "--theta=-1pi"]) == 0
+    assert capsys.readouterr().out == minus_pi
     assert main(["msc", "--family", "pure-schmidt", "--lambdas", "0.6,x"]) == 2
     assert main(["msc", "--family", "x-state", "--diag", "a,0.25,0.25,0.25", "--anti", "0,0"]) == 2
     assert main(["msc", "--family", "x-state", "--diag", "0.25,0.25,0.25,0.25", "--anti", "0,q"]) == 2

@@ -16,18 +16,21 @@ from qsteer.qcore import (
     KET_PLUS,
     bloch_vector,
     ket_dm,
+    partial_trace,
     pauli_decompose,
     validate_density,
 )
 from qsteer.rand import (
     random_classical,
     random_density_matrix,
+    random_pure_ket,
     random_two_qubit,
     random_unitary,
     random_x_state,
 )
 from qsteer.states import maximally_obese, rho_c, rho_p, werner
 from qsteer.steering import (
+    _whitened_map,
     canonical_transform,
     qse,
     steer,
@@ -139,6 +142,30 @@ def test_canonical_transform_rejects_pure_marginal():
     st = validate_density(np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2), (2, 2))
     with pytest.raises(SingularMarginal):
         canonical_transform(st)
+
+
+def _alice_rank_two_qutrit(rng):
+    # A 2x3 state with Alice's qubit embedded in a qutrit: rank(rho_A) = 2.
+    rho = np.zeros((3, 3, 3, 3), dtype=complex)
+    rho[:2, :, :2, :] = random_density_matrix(rng, (2, 3)).matrix.reshape(2, 3, 2, 3)
+    return validate_density(rho.reshape(9, 9), (3, 3))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4), "rank-2"])
+def test_whitened_map_steers_like_steer(rng, dims):
+    # R spans rho_A's support, and the whitened ket phi steers to
+    # phi^dag T phi, which is |R phi|^2 p sigma for psi = R phi / |R phi|.
+    for _ in range(5):
+        st = _alice_rank_two_qutrit(rng) if dims == "rank-2" else random_density_matrix(rng, dims)
+        smap, whiten = _whitened_map(st)
+        assert whiten.shape[1] == np.linalg.matrix_rank(partial_trace(st, 0).matrix, tol=1e-10)
+        phi = random_pure_ket(rng, whiten.shape[1])
+        psi = whiten @ phi
+        norm2 = np.vdot(psi, psi).real
+        sigma, p = steer(st, ket_dm(psi / np.sqrt(norm2)))
+        s = np.einsum("x,bdxy,y->bd", phi.conj(), smap, phi)
+        assert np.abs(s / norm2 - p * sigma.matrix).max() <= 1e-13
+        assert p * norm2 == pytest.approx(1.0, abs=1e-13)
 
 
 def test_qse_rho_p_closed_form():
