@@ -27,7 +27,10 @@ from a batch of seeded starts. Degenerate marginals add a descent for the
 infimum over Bob's block unitaries: by Danskin's theorem each witness of
 the ascent gives a one-sided derivative tr(G H) along V exp(iH), and Armijo
 steps follow minus the min-norm point of the witnesses' G (as in gradient
-sampling, Burke, Lewis & Overton, SIAM J. Optim. 15 (2005)).
+sampling, Burke, Lewis & Overton, SIAM J. Optim. 15 (2005)). A pure state
+of Schmidt rank r steers Bob to any ket of rho_B's support, so its MSC is
+r - 1, the most l1 coherence on r levels (Baumgratz, Cramer & Plenio, PRL
+113, 140401 (2014)), in any admissible basis: a closed form, no search.
 
 Both solvers take only a state. Both call Bob's marginal degenerate at one
 threshold, qcore.DEGENERACY_TOL: the two-qubit path tests |b| and the
@@ -73,7 +76,7 @@ from .qcore import (
     unit_perpendicular,
     validate_pauli_forms,
 )
-from .steering import ZERO_PROBABILITY_TOL, _whiten, _whitened_map, steer
+from .steering import SINGULAR_MARGINAL_TOL, ZERO_PROBABILITY_TOL, _whiten, _whitened_map, steer
 
 TRIVIAL_A_TOL = 1e-9
 # Above DEGENERACY_TOL, a |b| below this still gets a warning: the reference
@@ -437,8 +440,10 @@ def msc_general(state: DensityMatrix) -> MscResult:
     marginals take the infimum over the eigenbasis freedom of every
     degenerate block: a witness-gradient descent (_descend) from the
     eigenbasis and DESCENT_STARTS - 1 seeded random block rotations, keeping
-    the end basis whose full ascent is lowest. The value is the coherence of
-    the witness steered state.
+    the end basis whose full ascent is lowest. A rank-one state (second
+    eigenvalue at most SINGULAR_MARGINAL_TOL) skips both: its witness steers
+    Bob to the sum of rho_B's r support eigenvectors, coherence r - 1 in
+    the eigenbasis. The value is the coherence of the witness steered state.
     """
     if not state.is_bipartite:
         raise NotBipartite(f"need a bipartite state, got dims {state.dims}")
@@ -454,17 +459,26 @@ def msc_general(state: DensityMatrix) -> MscResult:
         psi = whiten @ phi[best]
         return float(lam[best]), psi / np.linalg.norm(psi), bool(settled[best]), vectors
 
-    starts = [basis.vectors]
-    if basis.degenerate:
-        mask = np.zeros((db, db), dtype=bool)
-        for blk in degenerate_blocks(eigs, DEGENERACY_TOL):
-            mask[np.ix_(blk, blk)] = True
-        rng = np.random.default_rng(SEED)
-        shape = (DESCENT_STARTS - 1, db, db)
-        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        starts += [basis.vectors @ _expm_i_hermitian((h + h.conj().T) * mask) for h in g]
-        starts = [_descend(smap, v, mask) for v in starts]
-    _, psi, converged, vectors = min((solve(v) for v in starts), key=lambda c: c[0])
+    evals, evecs = np.linalg.eigh(state.matrix)
+    if evals[-2] <= SINGULAR_MARGINAL_TOL:
+        # Rank one, rho = Psi Psi^dag: phi steers to K^T conj(phi), K = R^dag Psi with K K^dag = 1_r, so
+        # phi = K conj(x) steers to x, the sum of Bob's r support vectors, with coherence r - 1, the most
+        # on r levels; every admissible basis spans the support with r vectors, so no descent runs.
+        k = whiten.conj().T @ (math.sqrt(evals[-1]) * evecs[:, -1]).reshape(da, db)
+        psi = whiten @ k @ basis.vectors[:, : k.shape[0]].sum(axis=1).conj()
+        psi, converged, vectors = psi / np.linalg.norm(psi), True, basis.vectors
+    else:
+        starts = [basis.vectors]
+        if basis.degenerate:
+            mask = np.zeros((db, db), dtype=bool)
+            for blk in degenerate_blocks(eigs, DEGENERACY_TOL):
+                mask[np.ix_(blk, blk)] = True
+            rng = np.random.default_rng(SEED)
+            shape = (DESCENT_STARTS - 1, db, db)
+            g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            starts += [basis.vectors @ _expm_i_hermitian((h + h.conj().T) * mask) for h in g]
+            starts = [_descend(smap, v, mask) for v in starts]
+        _, psi, converged, vectors = min((solve(v) for v in starts), key=lambda c: c[0])
     ref = Basis(vectors=vectors, degenerate=basis.degenerate)
     steered, _ = steer(state, ket_dm(psi))
     return MscResult(

@@ -174,6 +174,74 @@ def _count_ascents(monkeypatch):
     return calls
 
 
+def _pure(rng, coefs, dims):
+    # sum_i c_i U_A|i> x U_B|i>, normalized: Schmidt rank len(coefs).
+    ua, ub = random_unitary(rng, dims[0]), random_unitary(rng, dims[1])
+    c = np.asarray(coefs, dtype=float) / np.linalg.norm(coefs)
+    psi = sum(c[i] * np.kron(ua[:, i], ub[:, i]) for i in range(len(c)))
+    return validate_density(np.outer(psi, psi.conj()), dims)
+
+
+@pytest.mark.parametrize(
+    "dims, coefs",
+    [
+        pytest.param((2, 3), (0.8, 0.6), id="2x3-r2"),
+        pytest.param((3, 2), (0.8, 0.6), id="3x2-r2"),
+        pytest.param((4, 2), (0.8, 0.6), id="4x2-r2"),
+        pytest.param((3, 3), (0.8, 0.6), id="3x3-r2"),
+        pytest.param((2, 4), (0.8, 0.6), id="2x4-r2"),
+        pytest.param((4, 4), (0.8, 0.6), id="4x4-r2"),
+        pytest.param((4, 4), (0.7, 0.5, 0.3), id="4x4-r3"),
+        pytest.param((4, 4), (0.7, 0.5, 0.4, 0.2), id="4x4-r4"),
+        pytest.param((3, 3), (0.5, 0.5, 0.7), id="3x3-tie"),
+        pytest.param((3, 3), (1, 1, 1), id="3x3-max"),
+        pytest.param((4, 4), (1, 1, 1, 1), id="4x4-max"),
+        pytest.param((3, 3), (1,), id="3x3-product"),
+    ],
+)
+def test_general_pure_state_takes_the_closed_form(monkeypatch, dims, coefs):
+    # A pure state of Schmidt rank r steers Bob to the sum of rho_B's r support
+    # eigenvectors: r - 1 in every admissible basis, with no ascent. r <= d_B - 2
+    # and ties leave rho_B degenerate; the descent is skipped there too.
+    calls = _count_ascents(monkeypatch)
+    st = _pure(np.random.default_rng(23), coefs, dims)
+    _, eigenbasis = eigen_hermitian(partial_trace(st, 1).matrix)
+    res = msc_general(st)
+    assert res.value == pytest.approx(len(coefs) - 1, abs=4e-15)
+    assert res.value == coherence_l1(res.steered_state, res.reference_basis)
+    assert res.degenerate_path is eigenbasis.degenerate
+    assert res.converged
+    assert not calls
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (4, 4)], ids=["3x3", "4x4"])
+def test_ascent_reaches_the_schmidt_rank_on_pure_states(dims):
+    # msc_general no longer runs the ascent on pure states; it still climbs to r - 1.
+    rng = np.random.default_rng(29)
+    for _ in range(3):
+        st = _pure(rng, rng.uniform(0.2, 1.0, dims[0]), dims)
+        _, basis = eigen_hermitian(partial_trace(st, 1).matrix)
+        lam, _, _ = msc._maximize_rank1(_whitened_map(st)[0], basis.vectors)
+        assert lam.max() == pytest.approx(dims[0] - 1, abs=1e-12)
+
+
+@pytest.mark.parametrize("delta, routed", [(5e-12, True), (2e-11, False)], ids=["routed", "ascent"])
+def test_general_across_the_rank_one_cut(monkeypatch, delta, routed):
+    # (1 - delta) psi psi^dag + delta 1/9 has lambda_2 = delta/9: 5.6e-13 is
+    # within the support cut SINGULAR_MARGINAL_TOL = 1e-12 and takes the closed
+    # form, 2.2e-12 is not; both equal the direct ascent's top lambda.
+    psi = _pure(np.random.default_rng(31), (0.7, 0.5, 0.4), (3, 3))
+    st = validate_density((1 - delta) * psi.matrix + delta * np.eye(9) / 9, (3, 3))
+    _, basis = eigen_hermitian(partial_trace(st, 1).matrix)
+    lam, _, _ = msc._maximize_rank1(_whitened_map(st)[0], basis.vectors)
+    calls = _count_ascents(monkeypatch)
+    res = msc_general(st)
+    assert bool(calls) is not routed
+    assert not res.degenerate_path
+    assert res.value == pytest.approx(lam.max(), abs=1e-14)
+    assert res.value < 2.0
+
+
 def test_general_degenerate_werner(monkeypatch):
     # Every basis gives p, so each descent start stops at once on roundoff:
     # its first trial ascent, then the full ascent that values its end basis.
