@@ -14,6 +14,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     IncompletePOVM,
+    NotFinite,
     ParameterOutOfRange,
 )
 from .qcore import (
@@ -30,29 +31,35 @@ COMPLETENESS_TOL = 1e-10
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A completely positive trace-preserving map given by Kraus operators."""
+    """A completely positive trace-preserving map: its k Kraus operators E_i as one complex (k, d_out, d_in) array."""
 
-    kraus_ops: tuple[np.ndarray, ...]
+    kraus_ops: np.ndarray
     label: str = ""
 
     @property
     def dim(self) -> int:
-        return self.kraus_ops[0].shape[1]
+        return self.kraus_ops.shape[2]
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Apply the channel to a single-system density matrix."""
-        out = np.zeros_like(np.asarray(rho, dtype=complex))
-        for e in self.kraus_ops:
-            out += e @ rho @ dag(e)
-        return out
+        """Apply the channel to a single-system density matrix: sum_i E_i rho E_i^dag, one contraction."""
+        return np.einsum("iab,bc,idc->ad", self.kraus_ops, rho, self.kraus_ops.conj())
 
 
 def kraus_channel(ops, label: str = "") -> KrausChannel:
-    """Bundle Kraus operators, checking completeness sum E_i^dag E_i = 1."""
-    ops = tuple(np.asarray(e, dtype=complex) for e in ops)
-    d = ops[0].shape[1]
-    total = sum(dag(e) @ e for e in ops)
-    dev = np.abs(total - np.eye(d)).max()
+    """Stack Kraus operators into one (k, d_out, d_in) array; completeness sum E_i^dag E_i = 1 is one product.
+
+    Raises DimensionMismatch for an empty or ragged family and NotFinite for a non-finite entry.
+    """
+    try:
+        ops = np.array(list(ops), dtype=complex)
+    except ValueError:
+        raise DimensionMismatch("Kraus operators must be numeric matrices of one shape") from None
+    if ops.ndim != 3 or ops.size == 0:
+        raise DimensionMismatch(f"need a non-empty stack of Kraus matrices, got shape {ops.shape}")
+    if not np.isfinite(ops).all():
+        raise NotFinite("Kraus operators have non-finite entries")
+    flat = ops.reshape(-1, ops.shape[2])
+    dev = np.abs(flat.conj().T @ flat - np.eye(ops.shape[2])).max()
     if dev > COMPLETENESS_TOL:
         raise IncompletePOVM(
             f"Kraus completeness violated: max |sum E^dag E - 1| = {dev:.3e} exceeds {COMPLETENESS_TOL:.0e}"
@@ -69,9 +76,8 @@ def amplitude_damping(gamma: float) -> KrausChannel:
     """
     if not 0.0 <= gamma <= 1.0:
         raise ParameterOutOfRange(f"gamma = {gamma!r} outside [0, 1]")
-    e0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex)
-    e1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)
-    return kraus_channel([e0, e1], label=f"amplitude-damping({gamma})")
+    ops = [[[1, 0], [0, np.sqrt(1 - gamma)]], [[0, np.sqrt(gamma)], [0, 0]]]
+    return kraus_channel(ops, label=f"amplitude-damping({gamma})")
 
 
 def unital_pauli(e0: float, e1: float, e2: float, e3: float) -> KrausChannel:
@@ -82,6 +88,8 @@ def unital_pauli(e0: float, e1: float, e2: float, e3: float) -> KrausChannel:
     mixed state is a fixed point.
     """
     es = np.array([e0, e1, e2, e3], dtype=float)
+    if not np.isfinite(es).all():
+        raise NotFinite(f"mixture weights must be finite, got {es.tolist()}")
     if es.min() < -1e-15:
         raise ParameterOutOfRange(f"mixture weights must be nonnegative, got {es.tolist()}")
     if abs(es.sum() - 1.0) > 1e-12:
@@ -96,24 +104,17 @@ def semi_classical(basis: Basis, povm) -> KrausChannel:
     |k> are the basis kets and {F_k} a POVM on the input space. Every output
     is diagonal in the given basis, so the channel destroys all coherence
     there. The Kraus family is built from rank-one pieces of each F_k:
-    F_k = sum_a |v_ka><v_ka| gives E_ka = |k><v_ka|.
+    F_k = sum_a |v_ka><v_ka| gives E_ka = |k><v_ka|, so sum_a E_ka^dag E_ka = F_k
+    and kraus_channel's completeness check is the POVM's.
     """
     elements = [validate_povm_element(f) for f in povm]
     d = basis.dim
     if len(elements) != d:
         raise DimensionMismatch(f"need one POVM element per basis ket: got {len(elements)} for dimension {d}")
-    total = sum(elements)
-    dev = np.abs(total - np.eye(elements[0].shape[0])).max()
-    if dev > COMPLETENESS_TOL:
-        raise IncompletePOVM(
-            f"POVM incomplete: max |sum F_k - 1| = {dev:.3e} exceeds {COMPLETENESS_TOL:.0e}"
-        )
     ops = []
     for k, f in enumerate(elements):
         w, v = np.linalg.eigh((f + dag(f)) / 2)
-        for a in range(len(w)):
-            if w[a] > 1e-14:
-                ops.append(np.sqrt(w[a]) * np.outer(basis.vectors[:, k], v[:, a].conj()))
+        ops += [np.sqrt(w[a]) * np.outer(basis.vectors[:, k], v[:, a].conj()) for a in np.flatnonzero(w > 1e-14)]
     return kraus_channel(ops, label="semi-classical")
 
 
@@ -123,46 +124,44 @@ def dephasing(basis: Basis) -> KrausChannel:
     return semi_classical(basis, projectors)
 
 
-def apply_on_b(state: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
-    """Apply a channel to Bob's side: sum_i (1 x E_i) rho (1 x E_i^dag)."""
+def _apply_local(state: DensityMatrix, channel: KrausChannel, side: int, subscripts: str) -> DensityMatrix:
+    # One contraction of the Kraus stack with rho[(a, b), (c, d)] on the given side (0 Alice, 1 Bob).
     if not state.is_bipartite:
         raise DimensionMismatch(f"need a bipartite state, got dims {state.dims}")
-    da, db = state.dims
-    if channel.dim != db:
-        raise DimensionMismatch(f"channel dimension {channel.dim} != Bob dimension {db}")
-    eye_a = np.eye(da)
-    out = np.zeros_like(state.matrix)
-    for e in channel.kraus_ops:
-        u = np.kron(eye_a, e)
-        out += u @ state.matrix @ dag(u)
-    return validate_density(out, state.dims)
+    who, d = ("Alice", "Bob")[side], state.dims[side]
+    if channel.kraus_ops.shape[1:] != (d, d):
+        raise DimensionMismatch(f"Kraus shape {channel.kraus_ops.shape[1:]} does not fit {who} dimension {d}")
+    e = channel.kraus_ops
+    out = np.einsum(subscripts, e, state.matrix.reshape(state.dims * 2), e.conj())
+    return validate_density(out.reshape(state.matrix.shape), state.dims)
+
+
+def apply_on_b(state: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
+    """Apply a channel to Bob's side: sum_i (1 x E_i) rho (1 x E_i^dag), one einsum over the Kraus stack."""
+    return _apply_local(state, channel, 1, "ibx,axcy,idy->abcd")
 
 
 def apply_on_a(state: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
-    """Apply a channel to Alice's side: sum_i (E_i x 1) rho (E_i^dag x 1)."""
-    if not state.is_bipartite:
-        raise DimensionMismatch(f"need a bipartite state, got dims {state.dims}")
-    da, db = state.dims
-    if channel.dim != da:
-        raise DimensionMismatch(f"channel dimension {channel.dim} != Alice dimension {da}")
-    eye_b = np.eye(db)
-    out = np.zeros_like(state.matrix)
-    for e in channel.kraus_ops:
-        u = np.kron(e, eye_b)
-        out += u @ state.matrix @ dag(u)
-    return validate_density(out, state.dims)
+    """Apply a channel to Alice's side: sum_i (E_i x 1) rho (E_i^dag x 1), one einsum over the Kraus stack."""
+    return _apply_local(state, channel, 0, "iax,xbyd,icy->abcd")
 
 
 def bloch_affine(channel: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
-    """Affine Bloch action (Q, c) of a qubit channel: v -> Q v + c.
+    """Affine Bloch action (Q, c) of a qubit channel: v -> Q v + c; the one-row case of _bloch_stack."""
+    q, c = _bloch_stack([channel])
+    return q[0], c[0]
 
-    Q_jk = tr(sigma_j E(sigma_k)) / 2 and c_j = tr(sigma_j E(1)) / 2, one contraction over the Kraus stack.
-    """
-    if channel.dim != 2:
+
+def _bloch_stack(channels) -> tuple[np.ndarray, np.ndarray]:
+    # Q_njk = tr(sigma_j E_n(sigma_k)) / 2 and c_nj = tr(sigma_j E_n(1)) / 2 from one einsum over the
+    # Kraus arrays zero-padded to (N, k_max, 2, 2); a zero operator adds nothing.
+    if any(ch.kraus_ops.shape[1:] != (2, 2) for ch in channels):
         raise DimensionMismatch("Bloch action is defined for qubit channels only")
-    ops = np.array(channel.kraus_ops)
-    r = 0.5 * np.real(np.einsum("jab,ibc,kcd,iad->jk", _PAULI_STACK[1:], ops, _PAULI_STACK, ops.conj()))
-    return r[:, 1:], r[:, 0]
+    ops = np.zeros((len(channels), max((len(ch.kraus_ops) for ch in channels), default=0), 2, 2), dtype=complex)
+    for row, ch in zip(ops, channels):
+        row[: len(ch.kraus_ops)] = ch.kraus_ops
+    r = 0.5 * np.real(np.einsum("jab,nibc,kcd,niad->njk", _PAULI_STACK[1:], ops, _PAULI_STACK, ops.conj()))
+    return r[:, :, 1:], r[:, :, 0]
 
 
 def apply_on_b_pauli(theta: np.ndarray, channels) -> np.ndarray:
@@ -170,8 +169,9 @@ def apply_on_b_pauli(theta: np.ndarray, channels) -> np.ndarray:
 
     With the Bloch action v -> Q v + c, [[1, b^T], [a, T]] maps to theta B^T =
     [[1, (Q b + c)^T], [a, T Q^T + a c^T]], B = [[1, 0], [c, Q]]; Alice's column is copied.
+    All (Q, c) come from one contraction (_bloch_stack); a non-qubit channel raises DimensionMismatch.
     """
-    q, c = (np.array(x) for x in zip(*(bloch_affine(ch) for ch in channels)))
+    q, c = _bloch_stack(channels)
     out = np.empty((len(q), 4, 4))
     out[:, :, 0] = theta[:, 0]
     out[:, :, 1:] = theta[:, 1:] @ q.transpose(0, 2, 1) + theta[:, :1] * c[:, None, :]

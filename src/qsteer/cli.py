@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 verification failure, 2 input/validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -219,7 +220,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built at the first main call and kept: parse_args leaves the parser as it was.
     parser = argparse.ArgumentParser(prog="qsteer", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

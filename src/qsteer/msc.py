@@ -76,7 +76,7 @@ from .qcore import (
     unit_perpendicular,
     validate_pauli_forms,
 )
-from .steering import SINGULAR_MARGINAL_TOL, ZERO_PROBABILITY_TOL, _whiten, _whitened_map, steer
+from .steering import SINGULAR_MARGINAL_TOL, ZERO_PROBABILITY_TOL, _whiten, _whitened_map, _whitening, steer
 
 TRIVIAL_A_TOL = 1e-9
 # Above DEGENERACY_TOL, a |b| below this still gets a warning: the reference
@@ -451,23 +451,24 @@ def msc_general(state: DensityMatrix) -> MscResult:
     if da > 4 or db > 4:
         raise DimensionTooLarge(f"general path supports subsystem dimensions <= 4, got {state.dims}")
     eigs, basis = eigen_hermitian(partial_trace(state, 1).matrix)
-    smap, whiten = _whitened_map(state)
-
-    def solve(vectors):
-        lam, phi, settled = _maximize_rank1(smap, vectors)
-        best = int(np.argmax(lam))
-        psi = whiten @ phi[best]
-        return float(lam[best]), psi / np.linalg.norm(psi), bool(settled[best]), vectors
-
     evals, evecs = np.linalg.eigh(state.matrix)
     if evals[-2] <= SINGULAR_MARGINAL_TOL:
         # Rank one, rho = Psi Psi^dag: phi steers to K^T conj(phi), K = R^dag Psi with K K^dag = 1_r, so
         # phi = K conj(x) steers to x, the sum of Bob's r support vectors, with coherence r - 1, the most
         # on r levels; every admissible basis spans the support with r vectors, so no descent runs.
+        whiten = _whitening(state)
         k = whiten.conj().T @ (math.sqrt(evals[-1]) * evecs[:, -1]).reshape(da, db)
         psi = whiten @ k @ basis.vectors[:, : k.shape[0]].sum(axis=1).conj()
         psi, converged, vectors = psi / np.linalg.norm(psi), True, basis.vectors
     else:
+        smap, whiten = _whitened_map(state)
+
+        def solve(vectors):
+            lam, phi, settled = _maximize_rank1(smap, vectors)
+            best = int(np.argmax(lam))
+            psi = whiten @ phi[best]
+            return float(lam[best]), psi / np.linalg.norm(psi), bool(settled[best]), vectors
+
         starts = [basis.vectors]
         if basis.degenerate:
             mask = np.zeros((db, db), dtype=bool)

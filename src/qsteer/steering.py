@@ -19,6 +19,7 @@ from .errors import (
     GeometryViolation,
     InvalidPOVMElement,
     NotBipartite,
+    NotFinite,
     NotHermitian,
     SingularDenominator,
     SingularMarginal,
@@ -51,6 +52,8 @@ def validate_povm_element(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidPOVMElement(f"POVM element must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise NotFinite("POVM element has non-finite entries")
     herm_dev = np.abs(m - dag(m)).max()
     if herm_dev > HERMITIAN_TOL:
         raise NotHermitian(f"max |M - M^dag| = {herm_dev:.3e} exceeds tolerance {HERMITIAN_TOL:.0e}")
@@ -124,18 +127,21 @@ def canonical_transform(state: DensityMatrix) -> DensityMatrix:
     return validate_density(out, state.dims)
 
 
-def _whitened_map(state: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """The whitened steering map T of a bipartite state and its whitening R.
-
-    R = U diag(w^-1/2) over the eigenvalues w of rho_A above
-    SINGULAR_MARGINAL_TOL spans rho_A's support (kets outside it steer
-    nothing), and T[b, d] = R^dag rho_bd R. Alice's ket psi = R phi steers
-    to the unnormalized operator phi^dag T phi with probability |phi|^2.
-    """
-    da, db = state.dims
+def _whitening(state: DensityMatrix) -> np.ndarray:
+    """R = U diag(w^-1/2) over rho_A's eigenvalues w above SINGULAR_MARGINAL_TOL, spanning its support."""
     w, u = np.linalg.eigh(partial_trace(state, 0).matrix)
     keep = w > SINGULAR_MARGINAL_TOL
-    r = u[:, keep] * w[keep] ** -0.5
+    return u[:, keep] * w[keep] ** -0.5
+
+
+def _whitened_map(state: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The whitened steering map T[b, d] = R^dag rho_bd R of a bipartite state and its whitening R = _whitening(state).
+
+    Alice's ket psi = R phi steers to the unnormalized operator phi^dag T phi with probability |phi|^2;
+    kets outside rho_A's support steer nothing.
+    """
+    da, db = state.dims
+    r = _whitening(state)
     return np.einsum("cx,cbad,ay->bdxy", r.conj(), state.matrix.reshape(da, db, da, db), r), r
 
 

@@ -12,7 +12,7 @@ from qsteer.channels import (
     semi_classical,
     unital_pauli,
 )
-from qsteer.errors import IncompletePOVM, ParameterOutOfRange
+from qsteer.errors import DimensionMismatch, IncompletePOVM, NotFinite, ParameterOutOfRange
 from qsteer.msc import msc_two_qubit
 from qsteer.qcore import Basis, KET_PLUS, ket_dm, pauli_decompose, qubit_state
 from qsteer.rand import (
@@ -73,6 +73,19 @@ def test_kraus_completeness_all_constructors(rng):
 def test_kraus_rejects_incomplete():
     with pytest.raises(IncompletePOVM):
         kraus_channel([np.diag([1.0, 0.5])])
+    # Non-finite, empty and ragged families are input errors, not passes or bare numpy errors.
+    with pytest.raises(NotFinite):
+        kraus_channel([np.diag([1.0, np.nan])])
+    with pytest.raises(NotFinite):
+        kraus_channel([np.diag([np.inf, 1.0])])
+    for ops in ([], [np.eye(2), np.eye(3)], [np.eye(2)[0]], [[1.0]]):
+        with pytest.raises(DimensionMismatch):
+            kraus_channel(ops)
+    # A NaN POVM element stops at its validation.
+    with pytest.raises(NotFinite):
+        semi_classical(Basis(vectors=np.eye(2, dtype=complex)), [np.diag([np.nan, 0.0]), np.diag([0.0, 1.0])])
+    ch = kraus_channel([np.eye(2) / np.sqrt(2), np.diag([1.0, -1.0]) / np.sqrt(2)])
+    assert ch.kraus_ops.shape == (2, 2, 2) and ch.kraus_ops.dtype == complex
 
 
 def test_unital_identity():
@@ -109,6 +122,10 @@ def test_unital_parameter_checks():
         unital_pauli(0.5, 0.6, 0.0, 0.0)
     with pytest.raises(ParameterOutOfRange):
         unital_pauli(-0.1, 0.6, 0.3, 0.2)
+    # A NaN weight fails every comparison, so it must be caught before them.
+    for es in ((np.nan, 0, 0, 1), (0, 0, 0, np.nan), (np.inf, 0, 0, 1)):
+        with pytest.raises(NotFinite):
+            unital_pauli(*es)
 
 
 def test_dephasing_plus_state():
@@ -232,3 +249,47 @@ def test_pauli_action_matches_apply_on_b(rng):
             assert np.array_equal(th[:, 0], theta[:, 0])
             assert np.abs(th[:, 1:] - ref[:, 1:]).max() <= 1e-15
             assert np.abs(th[:, 0] - ref[:, 0]).max() <= 4e-15
+
+
+def test_pauli_stack_rows_equal_each_bloch_affine(rng):
+    # One contraction over zero-padded Kraus arrays gives, row by row, the
+    # same bits as each channel's Bloch action alone, whatever the mix of
+    # 1-, 2-, 3- and 4-operator channels.
+    channels = [
+        unital_pauli(1, 0, 0, 0),
+        amplitude_damping(0.4),
+        unital_pauli(0.4, 0.3, 0.2, 0.1),
+        random_channel(rng, 2, 3),
+        random_unital_channel(rng),
+        amplitude_damping(1.0),
+        semi_classical(Basis(vectors=random_unitary(rng, 2)), random_povm(rng, 2, 2)),
+        random_channel(rng, 2, 1),
+    ]
+    assert sorted({len(ch.kraus_ops) for ch in channels}) == [1, 2, 3, 4]
+    # theta = 1 reads (Q, c) off exactly: row 0 is (1, c^T), the block below it Q^T.
+    for ch, row in zip(channels, apply_on_b_pauli(np.eye(4), channels)):
+        q, c = bloch_affine(ch)
+        assert np.array_equal(row[0, 1:], c) and np.array_equal(row[1:, 1:], q.T)
+    theta = pauli_decompose(random_two_qubit(rng)).theta
+    for ch, row in zip(channels, apply_on_b_pauli(theta, channels)):
+        assert np.array_equal(row, apply_on_b_pauli(theta, [ch])[0])
+
+
+def test_pauli_stack_rejects_non_qubit_channel(rng):
+    theta = pauli_decompose(random_two_qubit(rng)).theta
+    for k in range(3):
+        for other in (random_channel(rng, 3), kraus_channel([np.eye(3)[:, :2]])):
+            channels = [amplitude_damping(0.3), amplitude_damping(0.6)]
+            channels.insert(k, other)
+            with pytest.raises(DimensionMismatch):
+                apply_on_b_pauli(theta, channels)
+
+
+def test_apply_rejects_channel_of_other_shape(rng):
+    # A complete qubit-to-qutrit family is a valid channel, but not one from a
+    # qubit side to itself; a qutrit channel does not fit a qubit side either.
+    st = random_two_qubit(rng)
+    for ch in (kraus_channel([np.eye(3)[:, :2]]), random_channel(rng, 3)):
+        for apply in (apply_on_a, apply_on_b):
+            with pytest.raises(DimensionMismatch):
+                apply(st, ch)

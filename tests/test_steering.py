@@ -5,6 +5,7 @@ from qsteer.coherence import coherence_l1
 from qsteer.errors import (
     GeometryViolation,
     InvalidPOVMElement,
+    NotFinite,
     NotHermitian,
     SingularDenominator,
     SingularMarginal,
@@ -42,6 +43,8 @@ from qsteer.steering import (
 
 def test_povm_validation():
     validate_povm_element(np.eye(2) * 0.5)
+    with pytest.raises(NotFinite):
+        validate_povm_element(np.diag([np.nan, 0.5]))
     with pytest.raises(NotHermitian):
         validate_povm_element(np.array([[0, 1], [0, 0]], dtype=complex))
     with pytest.raises(InvalidPOVMElement):
