@@ -24,9 +24,10 @@ from .qcore import (
     dag,
     validate_density,
 )
-from .steering import _PAULI_STACK, validate_povm_element
+from .steering import validate_povm_element
 
 COMPLETENESS_TOL = 1e-10
+_PAULI_STACK = np.array(PAULIS)
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,7 @@ def kraus_channel(ops, label: str = "") -> KrausChannel:
     """Stack Kraus operators into one (k, d_out, d_in) array; completeness sum E_i^dag E_i = 1 is one product.
 
     Raises DimensionMismatch for an empty or ragged family and NotFinite for a non-finite entry.
+    The stack is read-only, so the check holds for the channel's life.
     """
     try:
         ops = np.array(list(ops), dtype=complex)
@@ -64,6 +66,7 @@ def kraus_channel(ops, label: str = "") -> KrausChannel:
         raise IncompletePOVM(
             f"Kraus completeness violated: max |sum E^dag E - 1| = {dev:.3e} exceeds {COMPLETENESS_TOL:.0e}"
         )
+    ops.flags.writeable = False
     return KrausChannel(kraus_ops=ops, label=label)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonUnitAxis
+from .errors import DimensionMismatch, NonUnitAxis, NotFinite
 from .qcore import Basis, DensityMatrix
 
 UNIT_AXIS_TOL = 1e-10
@@ -32,6 +32,8 @@ def coherence_bloch(b, n) -> float:
     """Qubit coherence |b x n| of Bloch vector b in the basis along axis n."""
     b = np.asarray(b, dtype=float)
     n = np.asarray(n, dtype=float)
+    if not (np.isfinite(b).all() and np.isfinite(n).all()):
+        raise NotFinite(f"Bloch vector and axis must be finite, got {b.tolist()} and {n.tolist()}")
     n_norm = np.linalg.norm(n)
     if abs(n_norm - 1.0) > UNIT_AXIS_TOL:
         raise NonUnitAxis(f"|n| = {n_norm:.12f} deviates from 1 beyond {UNIT_AXIS_TOL:.0e}")

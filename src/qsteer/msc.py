@@ -219,16 +219,16 @@ def _minimax(c, m_mat):
 
 
 def _solve_pauli_stack(theta: np.ndarray):
-    """Two-qubit MSC of each row of a stack of Pauli forms (N, 4, 4) sharing Alice's column.
+    """Two-qubit MSC of each row of a stack of Pauli forms (N, 4, 4), each whitened by its own a.
 
-    The whitening is computed once; rows with |b| >= DEGENERACY_TOL take the
-    axis along b and one stacked trust-region call, the others _minimax.
-    Each value is |x x n| for the witness's steered Bloch vector
-    x = (b + T^T m) / (1 + a.m), checked as steer checks it. Returns
-    (value, m, n, converged, degenerate, |b|), one row each.
+    Rows with |b| >= DEGENERACY_TOL take the axis along b and one stacked
+    trust-region call, the others _minimax. Each value is |x x n| for the
+    witness's steered Bloch vector x = (b + T^T m) / (1 + a.m), checked as
+    steer checks it; any row with 1 - |a| <= TRIVIAL_A_TOL raises
+    TrivialProductState. Returns (value, m, n, converged, degenerate, |b|), one row each.
     """
-    a = theta[0, 1:, 0]
-    a_norm = math.sqrt(a @ a)
+    a = theta[:, 1:, 0]
+    a_norm = np.sqrt((a * a).sum(1)).max()
     if 1.0 - a_norm <= TRIVIAL_A_TOL:
         raise TrivialProductState(
             f"|a| = {a_norm:.12f}: Alice's marginal is pure within {TRIVIAL_A_TOL:.0e}, "
@@ -246,9 +246,9 @@ def _solve_pauli_stack(theta: np.ndarray):
     for k in degenerate.nonzero()[0]:
         n_hat[k], u[k], converged[k] = _minimax(c[k], m_mat[k])
 
-    m = u @ lam[1:, 1:].T + lam[1:, 0]
+    m = (lam[:, 1:, 1:] @ u[..., None])[..., 0] + lam[:, 1:, 0]
     m /= np.hypot.reduce(m, axis=1)[:, None]
-    den = 1.0 + m @ a
+    den = 1.0 + (m * a).sum(1)
     if den.min() / 2 <= ZERO_PROBABILITY_TOL:
         raise ZeroProbability(f"outcome probability {den.min() / 2:.3e} below threshold {ZERO_PROBABILITY_TOL:.0e}")
     x = (b + (m[:, None, :] @ theta[:, 1:, 1:])[:, 0]) / den[:, None]

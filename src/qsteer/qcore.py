@@ -192,6 +192,8 @@ def eigen_hermitian(h: np.ndarray):
     the phase-fixed eigenvectors.
     """
     h = np.asarray(h, dtype=complex)
+    if not np.isfinite(h).all():
+        raise NotFinite("matrix has non-finite entries")
     herm_dev = np.abs(h - dag(h)).max()
     if herm_dev > HERMITIAN_TOL:
         raise NotHermitian(f"max |H - H^dag| = {herm_dev:.3e} exceeds tolerance {HERMITIAN_TOL:.0e}")
@@ -256,6 +258,8 @@ def bloch_vector(rho: np.ndarray) -> np.ndarray:
 def qubit_state(b) -> np.ndarray:
     """Density matrix (1/2)(I + b . sigma) for a Bloch vector with |b| <= 1."""
     b = np.asarray(b, dtype=float)
+    if not np.isfinite(b).all():
+        raise NotFinite(f"Bloch vector must be finite, got {b.tolist()}")
     if np.linalg.norm(b) > 1 + 1e-10:
         raise NotPSD(f"Bloch norm {np.linalg.norm(b):.12f} exceeds 1 + 1e-10")
     return (SIGMA_0 + b[0] * SIGMA_X + b[1] * SIGMA_Y + b[2] * SIGMA_Z) / 2
@@ -281,6 +285,8 @@ def unit_perpendicular(v: np.ndarray) -> np.ndarray:
 def bloch_basis(n) -> Basis:
     """Eigenbasis {spin up, spin down} of n . sigma for a unit vector n."""
     n = np.asarray(n, dtype=float)
+    if not np.isfinite(n).all():
+        raise NotFinite(f"axis must be finite, got {n.tolist()}")
     n = n / np.linalg.norm(n)
     _, basis = eigen_hermitian(n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z)
     return Basis(vectors=basis.vectors, degenerate=False)

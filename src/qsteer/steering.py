@@ -28,7 +28,6 @@ from .errors import (
 from .optimize import max_norm_on_sphere
 from .qcore import (
     HERMITIAN_TOL,
-    PAULIS,
     DensityMatrix,
     PauliForm,
     _fix_phase,
@@ -43,8 +42,6 @@ ZERO_PROBABILITY_TOL = 1e-12
 SINGULAR_MARGINAL_TOL = 1e-12
 POVM_EIG_TOL = 1e-10
 BALL_TOL = 1e-8
-
-_PAULI_STACK = np.array(PAULIS)
 
 
 def validate_povm_element(matrix: np.ndarray) -> np.ndarray:
@@ -93,22 +90,20 @@ def steer(state: DensityMatrix, m_op: np.ndarray) -> tuple[DensityMatrix, float]
 def steered_bloch(theta: PauliForm, m) -> np.ndarray:
     """Bob's steered Bloch vector (b + T^T m) / |1 + a.m| for direction m."""
     m = np.asarray(m, dtype=float)
+    if not np.isfinite(m).all():
+        raise NotFinite(f"measurement direction must be finite, got {m.tolist()}")
     den = abs(1.0 + float(theta.a @ m))
     if den <= 1e-12:
         raise SingularDenominator(f"|1 + a.m| = {den:.3e} below 1e-12 (|a| ~ 1 product state)")
     return (theta.b + theta.T.T @ m) / den
 
 
-def _inverse_sqrt(rho_a: np.ndarray) -> np.ndarray:
-    # The whitening R = rho_A^(-1/2) shared by the canonical transform and
-    # the Pauli-form route (_whiten).
-    w, v = np.linalg.eigh(rho_a)
-    if w.min() < SINGULAR_MARGINAL_TOL:
+def _require_mixed(min_eig: float) -> None:
+    if min_eig < SINGULAR_MARGINAL_TOL:
         raise SingularMarginal(
-            f"min eigenvalue of rho_A = {w.min():.3e} below {SINGULAR_MARGINAL_TOL:.0e}; "
+            f"min eigenvalue of rho_A = {min_eig:.3e} below {SINGULAR_MARGINAL_TOL:.0e}; "
             "rho_A is pure and the state is a trivial product"
         )
-    return (v * w**-0.5) @ dag(v)
 
 
 def canonical_transform(state: DensityMatrix) -> DensityMatrix:
@@ -120,7 +115,9 @@ def canonical_transform(state: DensityMatrix) -> DensityMatrix:
     """
     if not state.is_bipartite:
         raise NotBipartite(f"canonical transform needs a bipartite state, got dims {state.dims}")
-    op = np.kron(_inverse_sqrt(partial_trace(state, 0).matrix), np.eye(state.dims[1]))
+    w, v = np.linalg.eigh(partial_trace(state, 0).matrix)
+    _require_mixed(w.min())
+    op = np.kron((v * w**-0.5) @ dag(v), np.eye(state.dims[1]))
     out = op @ state.matrix @ op
     out = (out + dag(out)) / 2
     out /= np.real(np.trace(out))
@@ -146,18 +143,23 @@ def _whitened_map(state: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _whiten(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Steering ellipsoids {c + M u : |u| = 1} of Pauli forms, and their whitening map.
+    """Steering ellipsoids {c + M u : |u| = 1} of Pauli forms, and their whitening maps.
 
-    theta is one Pauli form or a stack (N, 4, 4) sharing Alice's column (1, a).
-    Returns (c, M, Lambda) with Lambda_{mu nu} = tr(sigma_mu R sigma_nu R) / 2,
-    R = rho_A^(-1/2): the canonical form is proportional to Lambda theta,
-    c = b_can, M = T_can^T, and Alice's direction m steering to c + M u lies
-    along (Lambda (1, u))[1:]. Raises SingularMarginal when rho_A is pure.
+    theta is one Pauli form or a stack (N, 4, 4), each row whitened by its own a = theta[..., 1:, 0]
+    through the Lorentz boost B = [[g, -g a^T], [-g a, 1 + g^2/(1 + g) a a^T]], g = (1 - |a|^2)^(-1/2):
+    Lambda_{mu nu} = tr(sigma_mu R sigma_nu R) / 2 over 2 g, R = rho_A^(-1/2), with no division by |a|.
+    Returns (c, M, B): c = b_can and M = T_can^T of the canonical form B theta / (B theta)_00, and Alice's
+    direction m steering to c + M u lies along (B (1, u))[1:]; both uses normalize, so the scale 2 g cancels.
+    Raises SingularMarginal when some rho_A is pure.
     """
-    alice = theta.reshape(-1, 4, 4)[0, :, 0]
-    r = _inverse_sqrt(np.einsum("m,mij->ij", alice, _PAULI_STACK) / 2)
-    x = _PAULI_STACK @ r
-    lam = 0.5 * np.real(np.einsum("mij,nji->mn", x, x))
+    a = theta[..., 1:, 0]
+    a2 = (a * a).sum(-1)
+    _require_mixed((1.0 - np.sqrt(a2.max())) / 2)
+    g = (1.0 - a2) ** -0.5
+    lam = np.empty(theta.shape)
+    lam[..., 0, 0] = g
+    lam[..., 0, 1:] = lam[..., 1:, 0] = -g[..., None] * a
+    lam[..., 1:, 1:] = np.eye(3) + (g * g / (1.0 + g))[..., None, None] * a[..., :, None] * a[..., None, :]
     can = lam @ theta
     can /= can[..., :1, :1]
     return can[..., 0, 1:], can[..., 1:, 1:].swapaxes(-1, -2), lam

@@ -86,6 +86,9 @@ def test_kraus_rejects_incomplete():
         semi_classical(Basis(vectors=np.eye(2, dtype=complex)), [np.diag([np.nan, 0.0]), np.diag([0.0, 1.0])])
     ch = kraus_channel([np.eye(2) / np.sqrt(2), np.diag([1.0, -1.0]) / np.sqrt(2)])
     assert ch.kraus_ops.shape == (2, 2, 2) and ch.kraus_ops.dtype == complex
+    # The checked stack is read-only, so a channel cannot be made incomplete after the check.
+    with pytest.raises(ValueError):
+        amplitude_damping(0.3).kraus_ops[1] = 0
 
 
 def test_unital_identity():

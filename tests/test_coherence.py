@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qsteer.coherence import coherence_bloch, coherence_l1
-from qsteer.errors import DimensionMismatch, NonUnitAxis
+from qsteer.errors import DimensionMismatch, NonUnitAxis, NotFinite
 from qsteer.qcore import Basis, eigen_hermitian, qubit_state, validate_density
 from qsteer.rand import random_pure_ket
 
@@ -44,6 +44,11 @@ def test_bloch_orthogonal():
 def test_bloch_needs_unit_axis():
     with pytest.raises(NonUnitAxis):
         coherence_bloch([0.5, 0, 0], [0, 0, 0.9])
+    # A NaN vector or axis is an input error, not a NaN coherence.
+    with pytest.raises(NotFinite):
+        coherence_bloch([np.nan, 0, 0], [0, 0, 1])
+    with pytest.raises(NotFinite):
+        coherence_bloch([0.5, 0, 0], [np.nan, 0, 1])
 
 
 def _basis_along(n):

@@ -615,3 +615,21 @@ def test_a0_b0_value_is_middle_singular_value(entries, scale):
     res = msc_two_qubit(pauli_compose(theta))
     assert res.degenerate_path
     assert res.value == pytest.approx(np.linalg.svd(theta[1:, 1:], compute_uv=False)[1], abs=1e-12)
+
+
+def test_stack_rows_carry_their_own_alice_marginal(rng):
+    # Each row of a stack is whitened by its own a: a shuffled stack of
+    # random, a = 0, damped, Werner (b = 0) and non-ball b = 0 forms solves
+    # every row exactly as the row alone does.
+    states = [random_two_qubit(rng), random_canonical(rng), apply_on_b(random_two_qubit(rng), amplitude_damping(0.4))]
+    states += [werner(0.6).state, _b0_state(rng), random_two_qubit(rng), _b0_state(rng)]
+    stack = np.array([pauli_decompose(st).theta for st in states])[rng.permutation(len(states))]
+    solved = msc._solve_pauli_stack(stack)
+    for k in range(len(stack)):
+        alone = msc._solve_pauli_stack(stack[k : k + 1])
+        for got, want in zip(solved[:5], alone[:5]):
+            np.testing.assert_array_equal(got[k], want[0])
+    # A pure Alice marginal on a later row stops the whole stack.
+    product = validate_density(np.kron(np.diag([1.0, 0.0]), random_density_matrix(rng, (2,)).matrix), (2, 2))
+    with pytest.raises(TrivialProductState):
+        msc._solve_pauli_stack(np.array([stack[0], stack[1], pauli_decompose(product).theta]))

@@ -10,10 +10,12 @@ from qsteer.errors import (
     WrongDimension,
 )
 from qsteer.qcore import (
+    bloch_basis,
     eigen_hermitian,
     partial_trace,
     pauli_compose,
     pauli_decompose,
+    qubit_state,
     validate_density,
     validate_pauli_forms,
 )
@@ -159,6 +161,15 @@ def test_eigen_phase_convention(rng):
 def test_eigen_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         eigen_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+    # Non-finite input is an input error, not a NaN result: a NaN entry
+    # passed the Hermiticity check's `>`, and the qubit helpers built NaN
+    # states and bases.
+    with pytest.raises(NotFinite):
+        eigen_hermitian(np.array([[np.nan, 0], [0, 1]]))
+    with pytest.raises(NotFinite):
+        qubit_state([np.nan, 0.0, 0.0])
+    with pytest.raises(NotFinite):
+        bloch_basis([np.inf, 0.0, 1.0])
 
 
 def test_pauli_decompose_identity():
