@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .channels import amplitude_damping, unital_pauli
-from .errors import QsteerError
+from .errors import LinearAlgebraFailure, QsteerError
 from .msc import msc_general, msc_sweep, msc_two_qubit
 from .qcore import DensityMatrix, bloch_vector, partial_trace
 from .statefile import load_state, save_state
@@ -260,7 +260,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        try:
+            return args.fn(args)
+        except np.linalg.LinAlgError as exc:
+            raise LinearAlgebraFailure(f"linear algebra failed: {exc}") from exc
     except (QsteerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -73,6 +73,10 @@ class TrivialProductState(QsteerError):
     """rho_A is pure, so rho is a product state and steering is trivial."""
 
 
+class LinearAlgebraFailure(QsteerError):
+    """A numpy linear-algebra routine failed, such as an eigensolver that did not converge."""
+
+
 class ParameterOutOfRange(ValidationError):
     pass
 

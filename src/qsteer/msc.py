@@ -4,7 +4,8 @@ The two-qubit path is exact: the coherence of a steered point x in the
 basis along n is |P x| with P = 1 - n n^T, so over the steering ellipsoid
 {c + M u : |u| = 1} the maximum is a trust-region subproblem in u, solved
 globally, and the optimal u maps back to Alice's measurement direction
-through the whitening map. When Bob's marginal is
+through the whitening map; the witness state (1 + x.sigma)/2 of the steered
+point x and the basis along n are read off that solve. When Bob's marginal is
 degenerate (b = 0) the reference basis is ambiguous and the value is the
 infimum over basis axes n_B of that exact inner maximum. The middle
 semiaxis bounds that infimum from below and is attained on the major axis
@@ -52,6 +53,7 @@ from .coherence import coherence_l1
 from .errors import (
     DimensionTooLarge,
     NotBipartite,
+    NotFinite,
     NotPSD,
     RankDeficientSchmidt,
     TrivialProductState,
@@ -72,7 +74,6 @@ from .qcore import (
     ket_dm,
     partial_trace,
     pauli_decompose,
-    qubit_state,
     unit_perpendicular,
     validate_pauli_forms,
 )
@@ -225,8 +226,11 @@ def _solve_pauli_stack(theta: np.ndarray):
     trust-region call, the others _minimax. Each value is |x x n| for the
     witness's steered Bloch vector x = (b + T^T m) / (1 + a.m), checked as
     steer checks it; any row with 1 - |a| <= TRIVIAL_A_TOL raises
-    TrivialProductState. Returns (value, m, n, converged, degenerate, |b|), one row each.
+    TrivialProductState; a non-finite form raises NotFinite, and every
+    guard fails on NaN. Returns (value, m, n, x, converged, degenerate, |b|).
     """
+    if not np.isfinite(theta).all():
+        raise NotFinite("Pauli forms have non-finite entries")
     a = theta[:, 1:, 0]
     a_norm = np.sqrt((a * a).sum(1)).max()
     if 1.0 - a_norm <= TRIVIAL_A_TOL:
@@ -249,14 +253,14 @@ def _solve_pauli_stack(theta: np.ndarray):
     m = (lam[:, 1:, 1:] @ u[..., None])[..., 0] + lam[:, 1:, 0]
     m /= np.hypot.reduce(m, axis=1)[:, None]
     den = 1.0 + (m * a).sum(1)
-    if den.min() / 2 <= ZERO_PROBABILITY_TOL:
+    if not den.min() / 2 > ZERO_PROBABILITY_TOL:
         raise ZeroProbability(f"outcome probability {den.min() / 2:.3e} below threshold {ZERO_PROBABILITY_TOL:.0e}")
     x = (b + (m[:, None, :] @ theta[:, 1:, 1:])[:, 0]) / den[:, None]
     x_norm = np.hypot.reduce(x, axis=1).max()
-    if x_norm > 1.0 + 2 * PSD_TOL:
+    if not x_norm <= 1.0 + 2 * PSD_TOL:
         raise NotPSD(f"steered Bloch vector of length {x_norm:.12f} exceeds 1 + {2 * PSD_TOL:.0e}")
     perp = x - (x * n_hat).sum(axis=1)[:, None] * n_hat
-    return np.hypot.reduce(perp, axis=1), m, n_hat, converged, degenerate, b_norm
+    return np.hypot.reduce(perp, axis=1), m, n_hat, x, converged, degenerate, b_norm
 
 
 def msc_two_qubit(state: DensityMatrix) -> MscResult:
@@ -267,23 +271,22 @@ def msc_two_qubit(state: DensityMatrix) -> MscResult:
     (|b| below DEGENERACY_TOL). Raises TrivialProductState when Alice's
     marginal is pure (|a| = 1), where steering is trivial. The value is the
     coherence |x x n| of the witness, Alice's direction from the exact
-    trust-region optimum; steered_state is that witness built by steer.
+    trust-region optimum; steered_state is (1 + x.sigma)/2, checked there.
     """
     if state.dims != (2, 2):
         raise WrongDimension(f"two-qubit path needs dims (2, 2), got {state.dims}")
-    value, m, n_hat, converged, degenerate, b_norm = _solve_pauli_stack(pauli_decompose(state).theta[None])
+    value, m, n_hat, x, converged, degenerate, b_norm = _solve_pauli_stack(pauli_decompose(state).theta[None])
     warnings: tuple[str, ...] = ()
     if DEGENERACY_TOL <= b_norm[0] < NEAR_DEGENERATE_TOL:
         warnings = (
             f"|b| = {b_norm[0]:.3e} is between the degeneracy tolerance and "
             f"{NEAR_DEGENERATE_TOL:.0e}: the reference basis is ill-conditioned",
         )
-    m = m[0]
-    steered, _ = steer(state, qubit_state(m))
+    x1, x2, x3 = x[0]
     return MscResult(
         value=float(value[0]),
-        optimal_m=m,
-        steered_state=steered,
+        optimal_m=m[0],
+        steered_state=DensityMatrix((2,), np.array([[1 + x3, x1 - 1j * x2], [x1 + 1j * x2, 1 - x3]]) / 2),
         reference_basis=bloch_basis(n_hat[0]),
         degenerate_path=bool(degenerate[0]),
         converged=bool(converged[0]),
@@ -306,7 +309,7 @@ def msc_sweep(state: DensityMatrix, channels) -> tuple[np.ndarray, np.ndarray]:
         return np.empty(0), np.empty(0, dtype=bool)
     theta = apply_on_b_pauli(pauli_decompose(state).theta, channels)
     validate_pauli_forms(theta)
-    value, _, _, converged, _, _ = _solve_pauli_stack(theta)
+    value, _, _, _, converged, _, _ = _solve_pauli_stack(theta)
     return value, converged
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    NonUnitAxis,
     NotBipartite,
     NotFinite,
     NotHermitian,
@@ -283,10 +284,17 @@ def unit_perpendicular(v: np.ndarray) -> np.ndarray:
 
 
 def bloch_basis(n) -> Basis:
-    """Eigenbasis {spin up, spin down} of n . sigma for a unit vector n."""
+    """Eigenbasis {spin up, spin down} of n . sigma for a nonzero axis n, in closed form: the columns of
+    1 +- n . sigma whose largest entry, 1 + |n_z|, is real and positive as in eigen_hermitian."""
     n = np.asarray(n, dtype=float)
     if not np.isfinite(n).all():
         raise NotFinite(f"axis must be finite, got {n.tolist()}")
-    n = n / np.linalg.norm(n)
-    _, basis = eigen_hermitian(n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z)
-    return Basis(vectors=basis.vectors, degenerate=False)
+    norm = np.linalg.norm(n)
+    if not norm > 0:
+        raise NonUnitAxis("axis must be nonzero")
+    x, y, z = n / norm
+    if z >= 0:
+        vectors = np.array([[1 + z, -(x - 1j * y)], [x + 1j * y, 1 + z]])
+    else:
+        vectors = np.array([[x - 1j * y, 1 - z], [1 - z, -(x + 1j * y)]])
+    return Basis(vectors=vectors / np.sqrt(2 * (1 + abs(z))), degenerate=False)

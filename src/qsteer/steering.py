@@ -25,12 +25,11 @@ from .errors import (
     SingularMarginal,
     ZeroProbability,
 )
-from .optimize import max_norm_on_sphere
+from .optimize import _secular
 from .qcore import (
     HERMITIAN_TOL,
     DensityMatrix,
     PauliForm,
-    _fix_phase,
     dag,
     fibonacci_sphere,
     partial_trace,
@@ -99,7 +98,7 @@ def steered_bloch(theta: PauliForm, m) -> np.ndarray:
 
 
 def _require_mixed(min_eig: float) -> None:
-    if min_eig < SINGULAR_MARGINAL_TOL:
+    if not min_eig >= SINGULAR_MARGINAL_TOL:
         raise SingularMarginal(
             f"min eigenvalue of rho_A = {min_eig:.3e} below {SINGULAR_MARGINAL_TOL:.0e}; "
             "rho_A is pure and the state is a trivial product"
@@ -202,19 +201,27 @@ class Ellipsoid:
         return out
 
 
+def _ball_radius(c: np.ndarray, frame: np.ndarray, s: np.ndarray) -> float:
+    """Exact max |c + M u| over unit u, M = frame diag(s) G^T: max |y + s v| over unit v = G^T u, y = frame^T c,
+    a trust-region step whose A^T A = diag(s^2) is diagonal and descending, so it needs no eigendecomposition."""
+    y = frame.T @ c
+    v = np.array(_secular((s * y).tolist(), (s * s).tolist())[0])
+    return float(np.hypot.reduce(y + s * v / np.hypot.reduce(v)))
+
+
 def qse(state: DensityMatrix) -> Ellipsoid:
     """The quantum steering ellipsoid of a two-qubit state.
 
     Center c, semiaxes the singular values of M and frame its left singular
     vectors, from one svd of the whitened Pauli form's M (the square roots
     of M M^T's eigenvalues would err by up to sqrt(eps) on a small axis).
-    Raises GeometryViolation when the exact largest radius max |c + M u|
+    Raises GeometryViolation when the exact largest radius (_ball_radius)
     exceeds 1 + BALL_TOL.
     """
     c, m_mat, _ = _whiten(pauli_decompose(state).theta)
     f, semiaxes, _ = np.linalg.svd(m_mat)
-    frame = np.column_stack([_fix_phase(f[:, j]) for j in range(3)])
-    worst = max_norm_on_sphere(c, m_mat)[0]
+    frame = f * np.sign(f[np.abs(f).argmax(axis=0), [0, 1, 2]])
+    worst = _ball_radius(c, frame, semiaxes)
     if worst > 1 + BALL_TOL:
         raise GeometryViolation(
             f"ellipsoid surface reaches radius {worst:.12f}, outside the Bloch ball by more than {BALL_TOL:.0e}"

@@ -8,8 +8,11 @@ from qsteer.channels import amplitude_damping, apply_on_b
 from qsteer.coherence import coherence_l1
 from qsteer.errors import (
     DimensionTooLarge,
+    QsteerError,
     RankDeficientSchmidt,
+    SingularMarginal,
     TrivialProductState,
+    ZeroProbability,
 )
 from qsteer.msc import (
     fibonacci_sphere,
@@ -21,7 +24,15 @@ from qsteer.msc import (
     sphere_sequence,
 )
 from qsteer.optimize import max_norm_on_sphere
-from qsteer.qcore import bloch_vector, eigen_hermitian, partial_trace, pauli_compose, pauli_decompose, validate_density
+from qsteer.qcore import (
+    bloch_vector,
+    eigen_hermitian,
+    partial_trace,
+    pauli_compose,
+    pauli_decompose,
+    qubit_state,
+    validate_density,
+)
 from qsteer.rand import (
     random_basis,
     random_bob_filtered,
@@ -31,10 +42,11 @@ from qsteer.rand import (
     random_product,
     random_pure_ket,
     random_two_qubit,
+    random_unital_channel,
     random_unitary,
 )
-from qsteer.states import classical_state, maximally_obese, rho_c, rho_p, werner
-from qsteer.steering import _whitened_map, qse
+from qsteer.states import chord_state, classical_state, maximally_obese, pure_schmidt, rho_c, rho_p, werner
+from qsteer.steering import _require_mixed, _whitened_map, qse, steer
 
 
 def test_werner_value():
@@ -627,9 +639,75 @@ def test_stack_rows_carry_their_own_alice_marginal(rng):
     solved = msc._solve_pauli_stack(stack)
     for k in range(len(stack)):
         alone = msc._solve_pauli_stack(stack[k : k + 1])
-        for got, want in zip(solved[:5], alone[:5]):
+        for got, want in zip(solved[:6], alone[:6]):
             np.testing.assert_array_equal(got[k], want[0])
     # A pure Alice marginal on a later row stops the whole stack.
     product = validate_density(np.kron(np.diag([1.0, 0.0]), random_density_matrix(rng, (2,)).matrix), (2, 2))
     with pytest.raises(TrivialProductState):
         msc._solve_pauli_stack(np.array([stack[0], stack[1], pauli_decompose(product).theta]))
+
+
+@pytest.mark.parametrize("entry", [(1, 2, 3), (1, 1, 0), (1, 0, 2)], ids=["T", "a", "b"])
+def test_stack_with_a_nan_raises(rng, entry):
+    # NaN passes every `<=` and `>` comparison, and the eigensolvers raise a
+    # bare LinAlgError on it (or return NaN): a non-finite form is refused
+    # up front, so no NaN value or witness is returned.
+    stack = np.array([pauli_decompose(random_two_qubit(rng)).theta for _ in range(2)])
+    stack[entry] = np.nan
+    with pytest.raises(QsteerError):
+        msc._solve_pauli_stack(stack)
+
+
+def test_stack_guards_fail_on_nan(monkeypatch, rng):
+    # A NaN made inside the solve, here a NaN trust-region step, trips the
+    # outcome-probability guard; the marginal guard refuses a NaN eigenvalue.
+    stack = np.array([pauli_decompose(random_two_qubit(rng)).theta for _ in range(2)])
+    inner = msc._inner
+
+    def nan_step(c, m_mat, n_hat):
+        values, u, converged = inner(c, m_mat, n_hat)
+        return values, np.full_like(u, np.nan), converged
+
+    monkeypatch.setattr(msc, "_inner", nan_step)
+    with pytest.raises(ZeroProbability):
+        msc._solve_pauli_stack(stack)
+    with pytest.raises(SingularMarginal):
+        _require_mixed(np.nan)
+
+
+def _bloch_ket(angle):
+    return np.array([np.cos(angle / 2), np.sin(angle / 2)])
+
+
+def _witness_families(rng):
+    # Seeded two-qubit states of every regime the two-qubit path routes.
+    t = rng.dirichlet(np.ones(4)) @ np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]], dtype=float)
+    bell = pauli_compose(np.diag([1.0, *t]))
+    alice = [random_density_matrix(rng, (2,)) for _ in range(2)]
+    yield "hs", random_two_qubit(rng)
+    yield "hs-unital", apply_on_b(random_two_qubit(rng), random_unital_channel(rng))
+    yield "canonical", random_canonical(rng)
+    alpha = np.arccos(rng.uniform(0.1, 0.95))
+    yield "chord", chord_state([1.0, 0.0], _bloch_ket(alpha), _bloch_ket(-alpha)).state
+    lam = np.sqrt(rng.uniform(0.55, 0.95))
+    yield "pure", pure_schmidt([lam, np.sqrt(1 - lam**2)], random_unitary(rng, 2), random_unitary(rng, 2)).state
+    yield "werner", werner(rng.uniform(0.1, 0.9)).state
+    yield "bell-diagonal", bell
+    yield "non-ball", _b0_state(rng)
+    yield "classical-b0", classical_state([0.5, 0.5], alice, random_basis(rng, 2)).state
+    yield "near-degenerate", rho_p(0.5, np.pi / 2 - rng.uniform(1e-5, 1e-4)).state
+
+
+def test_witness_state_equals_steer(rng):
+    # steered_state is (1 + x.sigma)/2 from the stack's x; steer of Alice's
+    # reported direction stays the independent check: 1e-13 on every regime
+    # (6.7e-16 measured), 1e-9 on near-product states (1 - |a| ~ 1e-6, where
+    # both routes lose eps / (1 - |a|); 2.0e-10 measured).
+    cases = [case for _ in range(10) for case in _witness_families(rng)]
+    cases += [("near-product", _near_product(rng)) for _ in range(10)]
+    for kind, st in cases:
+        res = msc_two_qubit(st)
+        want, _ = steer(st, qubit_state(res.optimal_m))
+        tol = 1e-9 if kind == "near-product" else 1e-13
+        assert res.steered_state.dims == (2,)
+        np.testing.assert_allclose(res.steered_state.matrix, want.matrix, rtol=0, atol=tol, err_msg=kind)

@@ -172,6 +172,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "Alice's marginal is pure" in capsys.readouterr().err
 
 
+def test_cli_linear_algebra_failure_exits_2(monkeypatch, capsys):
+    # A numpy LinAlgError (an eigensolver that did not converge) is an error
+    # with a message, not a traceback.
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert main(["msc", "--family", "werner", "--p", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: linear algebra failed: Eigenvalues did not converge\n"
+
+
 def test_cli_nonconvergence_exit_code(monkeypatch, capsys):
     import dataclasses
 

@@ -13,6 +13,7 @@ from qsteer.errors import (
 )
 from qsteer.qcore import (
     Basis,
+    DensityMatrix,
     KET_MINUS,
     KET_PLUS,
     bloch_vector,
@@ -22,6 +23,7 @@ from qsteer.qcore import (
     validate_density,
 )
 from qsteer.rand import (
+    random_canonical,
     random_classical,
     random_density_matrix,
     random_pure_ket,
@@ -30,7 +32,10 @@ from qsteer.rand import (
     random_x_state,
 )
 from qsteer.states import maximally_obese, rho_c, rho_p, werner
+from qsteer.optimize import max_norm_on_sphere
 from qsteer.steering import (
+    _ball_radius,
+    _whiten,
     _whitened_map,
     canonical_transform,
     qse,
@@ -319,3 +324,25 @@ def test_surface_grids_use_the_fibonacci_lattice(rng):
     np.testing.assert_array_equal(
         steered_surface(th, 300), (th.b + lattice @ th.T) / np.abs(1.0 + lattice @ th.a)[:, None]
     )
+
+
+def test_qse_ball_radius_in_the_svd_frame(rng):
+    # The ball check solves max |c + M u| in the frame of M's svd; it equals
+    # the general trust-region step on random, canonical, pure, Werner,
+    # classical and near-product states (3.3e-16 measured).
+    states = [random_two_qubit(rng) for _ in range(40)] + [random_canonical(rng) for _ in range(10)]
+    states += [validate_density(ket_dm(random_pure_ket(rng, 4)), (2, 2)) for _ in range(10)]
+    states += [werner(0.6).state, rho_c(0.5).state, random_classical(rng)] + [_near_product(rng) for _ in range(5)]
+    for st in states:
+        c, m_mat, _ = _whiten(pauli_decompose(st).theta)
+        f, s, _ = np.linalg.svd(m_mat)
+        assert abs(_ball_radius(c, f, s) - max_norm_on_sphere(c, m_mat)[0]) <= 1e-14
+
+
+def test_qse_rejects_an_ellipsoid_outside_the_ball():
+    # An unphysical form (a = b = 0, T = 1.2 diag(1, -1, 1)) whose ellipsoid
+    # is a ball of radius 1.2: no validation stops it before qse's check.
+    x, y, z = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])
+    rho = (np.eye(4) + 1.2 * (np.kron(x, x) - np.kron(y, y) + np.kron(z, z))) / 4
+    with pytest.raises(GeometryViolation, match="radius 1.200000000000"):
+        qse(DensityMatrix((2, 2), rho))
