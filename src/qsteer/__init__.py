@@ -16,6 +16,8 @@ from .channels import (
     apply_on_b,
     apply_on_b_pauli,
     bloch_affine,
+    bloch_stack,
+    damping_bloch,
     dephasing,
     kraus_channel,
     semi_classical,
@@ -86,6 +88,7 @@ __all__ = [
     "apply_on_b",
     "apply_on_b_pauli",
     "bloch_affine",
+    "bloch_stack",
     "bloch_vector",
     "canonical_transform",
     "chord_state",
@@ -93,6 +96,7 @@ __all__ = [
     "coherence_bloch",
     "coherence_l1",
     "damped_classical_msc",
+    "damping_bloch",
     "dephasing",
     "dlc_state",
     "eigen_hermitian",

@@ -150,14 +150,14 @@ def apply_on_a(state: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
 
 
 def bloch_affine(channel: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
-    """Affine Bloch action (Q, c) of a qubit channel: v -> Q v + c; the one-row case of _bloch_stack."""
-    q, c = _bloch_stack([channel])
+    """Affine Bloch action (Q, c) of a qubit channel: v -> Q v + c; the one-row case of bloch_stack."""
+    q, c = bloch_stack([channel])
     return q[0], c[0]
 
 
-def _bloch_stack(channels) -> tuple[np.ndarray, np.ndarray]:
-    # Q_njk = tr(sigma_j E_n(sigma_k)) / 2 and c_nj = tr(sigma_j E_n(1)) / 2 from one einsum over the
-    # Kraus arrays zero-padded to (N, k_max, 2, 2); a zero operator adds nothing.
+def bloch_stack(channels) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, c) of qubit channels as one (N, 3, 3) / (N, 3) pair: Q_njk = tr(sigma_j E_n(sigma_k)) / 2 and
+    c_nj = tr(sigma_j E_n(1)) / 2 from one einsum over the Kraus arrays zero-padded to (N, k_max, 2, 2)."""
     if any(ch.kraus_ops.shape[1:] != (2, 2) for ch in channels):
         raise DimensionMismatch("Bloch action is defined for qubit channels only")
     ops = np.zeros((len(channels), max((len(ch.kraus_ops) for ch in channels), default=0), 2, 2), dtype=complex)
@@ -167,15 +167,27 @@ def _bloch_stack(channels) -> tuple[np.ndarray, np.ndarray]:
     return r[:, :, 1:], r[:, :, 0]
 
 
-def apply_on_b_pauli(theta: np.ndarray, channels) -> np.ndarray:
-    """Pauli forms (len(channels), 4, 4) of a two-qubit state after each qubit channel on Bob's side.
+def damping_bloch(gammas) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form (Q, c) of amplitude damping, one row per gamma, with no Kraus channel built:
+    Q = diag(sqrt(1-gamma), sqrt(1-gamma), 1-gamma), c = gamma z_hat. All gammas are checked at once."""
+    g = np.asarray(gammas, dtype=float)
+    if not np.isfinite(g).all():
+        raise NotFinite(f"damping strengths must be finite, got {g.tolist()}")
+    if ((g < 0) | (g > 1)).any():
+        raise ParameterOutOfRange(f"damping strengths must lie in [0, 1], got {g.tolist()}")
+    q = np.sqrt(1 - g)[..., None, None] * np.diag([1.0, 1.0, 0.0])
+    q[..., 2, 2] = 1 - g
+    return q, g[..., None] * [0.0, 0.0, 1.0]
 
-    With the Bloch action v -> Q v + c, [[1, b^T], [a, T]] maps to theta B^T =
-    [[1, (Q b + c)^T], [a, T Q^T + a c^T]], B = [[1, 0], [c, Q]]; Alice's column is copied.
-    All (Q, c) come from one contraction (_bloch_stack); a non-qubit channel raises DimensionMismatch.
+
+def apply_on_b_pauli(theta: np.ndarray, q: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Forms (N,) + theta.shape after each qubit channel v -> Q_n v + c_n on Bob's side.
+
+    theta's columns are Bob's Pauli index. [[1, b^T], [a, T]] maps to theta B^T, B = [[1, 0], [c, Q]]:
+    a -> a (copied), b -> Q b + c, T -> T Q^T + a c^T. Rows (X_0, .., X_3)[i, j] of Bob's Pauli blocks
+    X_nu = tr_B[(1 x sigma_nu) rho] map by the same rule.
     """
-    q, c = _bloch_stack(channels)
-    out = np.empty((len(q), 4, 4))
+    out = np.empty((len(q),) + theta.shape, dtype=theta.dtype)
     out[:, :, 0] = theta[:, 0]
     out[:, :, 1:] = theta[:, 1:] @ q.transpose(0, 2, 1) + theta[:, :1] * c[:, None, :]
     return out

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .channels import amplitude_damping, unital_pauli
+from .channels import bloch_affine, damping_bloch, unital_pauli
 from .errors import LinearAlgebraFailure, QsteerError
 from .msc import msc_general, msc_sweep, msc_two_qubit
 from .qcore import DensityMatrix, bloch_vector, partial_trace
@@ -170,20 +170,19 @@ def cmd_sweep(args) -> int:
     state = _resolve_state(args)
     if args.grid < 1:
         raise QsteerError(f"--grid must be at least 1, got {args.grid}")
+    gammas = np.linspace(0.0, 1.0, args.grid)
     if args.channel == "amplitude-damping":
-        make = amplitude_damping
+        if args.e is not None:
+            raise QsteerError("--e applies to --channel unital only")
+        q, c = damping_bloch(gammas)
     else:
         es = [_number(x, "e") for x in args.e.split(",")] if args.e else None
         if es is None or len(es) != 4:
             raise QsteerError("--channel unital needs --e e0,e1,e2,e3")
-
-        def make(gamma):
-            # gamma interpolates between the identity and the given mixture.
-            scaled = [1 - gamma + gamma * es[0], gamma * es[1], gamma * es[2], gamma * es[3]]
-            return unital_pauli(*scaled)
-
-    gammas = np.linspace(0.0, 1.0, args.grid)
-    values, converged = msc_sweep(state, [make(float(g)) for g in gammas])
+        # gamma interpolates between the identity and the given mixture, so (Q, c) is affine in gamma.
+        q_e, c_e = bloch_affine(unital_pauli(*es))
+        q, c = (1 - gammas[:, None, None]) * np.eye(3) + gammas[:, None, None] * q_e, gammas[:, None] * c_e
+    values, converged = msc_sweep(state, q, c)
     if not converged.all():
         print(f"optimizer did not converge at gamma={gammas[~converged][0]}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -48,9 +48,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import apply_on_b, apply_on_b_pauli
+from .channels import apply_on_b_pauli
 from .coherence import coherence_l1
 from .errors import (
+    DimensionMismatch,
     DimensionTooLarge,
     NotBipartite,
     NotFinite,
@@ -65,6 +66,7 @@ from .qcore import (
     Basis,
     DEGENERACY_TOL,
     DensityMatrix,
+    PAULIS,
     PSD_TOL,
     SCHMIDT_FLOOR,
     bloch_basis,
@@ -75,6 +77,7 @@ from .qcore import (
     partial_trace,
     pauli_decompose,
     unit_perpendicular,
+    validate_density,
     validate_pauli_forms,
 )
 from .steering import SINGULAR_MARGINAL_TOL, ZERO_PROBABILITY_TOL, _whiten, _whitened_map, _whitening, steer
@@ -294,20 +297,22 @@ def msc_two_qubit(state: DensityMatrix) -> MscResult:
     )
 
 
-def msc_sweep(state: DensityMatrix, channels) -> tuple[np.ndarray, np.ndarray]:
-    """MSC of the state after each channel on Bob's side; returns (values, converged).
+def msc_sweep(state: DensityMatrix, q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """MSC of the state after each qubit channel v -> Q_n v + c_n on Bob's side; returns (values, converged).
 
-    A two-qubit state is decomposed once, the channels act on its Pauli form
-    (apply_on_b_pauli), the outputs are validated in one batched check and
-    solved as one stack. Other states apply each channel and call msc_general.
-    An empty channel list gives empty arrays.
+    q (N, 3, 3), c (N, 3) come from channels.bloch_stack or damping_bloch. A two-qubit Pauli form is mapped
+    (apply_on_b_pauli) and solved as one stack; for d_A >= 3 (or N = 0) Bob's Pauli blocks X_nu map to
+    each rho' = sum_nu X'_nu x sigma_nu / 2, solved by msc_general.
     """
-    if state.dims != (2, 2):
-        results = [msc_general(apply_on_b(state, ch)) for ch in channels]
+    if state.dims[1:] != (2,):
+        raise DimensionMismatch(f"a sweep acts on a qubit Bob, got dims {state.dims}")
+    if state.dims != (2, 2) or not len(q):
+        d, paulis = state.dims[0], np.array(PAULIS)
+        x = np.einsum("vba,iajb->ijv", paulis, state.matrix.reshape(d, 2, d, 2)).reshape(d * d, 4)
+        out = 0.5 * np.einsum("nijv,vab->niajb", apply_on_b_pauli(x, q, c).reshape(-1, d, d, 4), paulis)
+        results = [msc_general(validate_density(m.reshape(2 * d, 2 * d), state.dims)) for m in out]
         return np.array([r.value for r in results], dtype=float), np.array([r.converged for r in results], dtype=bool)
-    if not channels:
-        return np.empty(0), np.empty(0, dtype=bool)
-    theta = apply_on_b_pauli(pauli_decompose(state).theta, channels)
+    theta = apply_on_b_pauli(pauli_decompose(state).theta, q, c)
     validate_pauli_forms(theta)
     value, _, _, _, converged, _, _ = _solve_pauli_stack(theta)
     return value, converged

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import amplitude_damping, apply_on_b, semi_classical
+from .channels import amplitude_damping, apply_on_b, bloch_stack, damping_bloch, semi_classical
 from .msc import msc_general, msc_oracle, msc_sweep, msc_two_qubit
 from .qcore import Basis, validate_density
 from .rand import (
@@ -100,12 +100,12 @@ DAMPING_ENDPOINT_TOL = 1e-9
 def check_damping_curve(seed: int = DEFAULT_SEED) -> CheckResult:
     """Amplitude-damping sweep on the classical family matches its closed form."""
     gammas = np.linspace(0.0, 1.0, 101)
-    damping = [amplitude_damping(float(g)) for g in gammas]
+    damping = damping_bloch(gammas)
     worst = 0.0
     worst_end = 0.0
     lines = []
     for t in (0.6, 0.75, 0.9):
-        vals = msc_sweep(rho_c(t).state, damping)[0]
+        vals = msc_sweep(rho_c(t).state, *damping)[0]
         analytic = np.array([damped_classical_msc(t, g) for g in gammas])
         dev = np.abs(vals - analytic).max()
         worst = max(worst, dev)
@@ -142,11 +142,11 @@ SWEEP_MIN_GAIN = 1e-4
 
 def check_fig2_sweep(seed: int = DEFAULT_SEED) -> CheckResult:
     """Damping can raise the coherence, more strongly for more prolate QSEs."""
-    damping = [amplitude_damping(float(g)) for g in np.linspace(0.0, 1.0, 101)]
+    damping = damping_bloch(np.linspace(0.0, 1.0, 101))
     margins = []
     lines = []
     for p, th_frac in FIG2_PAIRS:
-        vals = msc_sweep(rho_p(p, th_frac * math.pi).state, damping)[0]
+        vals = msc_sweep(rho_p(p, th_frac * math.pi).state, *damping)[0]
         margin = float(vals.max() - vals[0])
         margins.append(margin)
         lines.append(f"(p={p}, theta={th_frac}pi): sweep max - initial = {margin:.6f}")
@@ -169,9 +169,9 @@ def check_thm1(seed: int = DEFAULT_SEED) -> CheckResult:
     rng = np.random.default_rng(seed)
     states = [random_two_qubit(rng) for _ in range(200)]
     base_vals = [msc_two_qubit(s).value for s in states]
-    channels = [random_unital_channel(rng) for _ in range(50)]
+    q, c = bloch_stack([random_unital_channel(rng) for _ in range(50)])
 
-    worst_increase = max(float((msc_sweep(s, channels)[0] - base).max()) for s, base in zip(states, base_vals))
+    worst_increase = max(float((msc_sweep(s, q, c)[0] - base).max()) for s, base in zip(states, base_vals))
 
     worst_sc = 0.0
     for _ in range(10):

@@ -7,6 +7,8 @@ from qsteer.channels import (
     apply_on_b,
     apply_on_b_pauli,
     bloch_affine,
+    bloch_stack,
+    damping_bloch,
     dephasing,
     kraus_channel,
     semi_classical,
@@ -245,7 +247,7 @@ def test_pauli_action_matches_apply_on_b(rng):
     for _ in range(20):
         s = random_two_qubit(rng)
         theta = pauli_decompose(s).theta
-        out = apply_on_b_pauli(theta, channels)
+        out = apply_on_b_pauli(theta, *bloch_stack(channels))
         assert out.shape == (len(channels), 4, 4)
         for ch, th in zip(channels, out):
             ref = pauli_decompose(apply_on_b(s, ch)).theta
@@ -270,12 +272,12 @@ def test_pauli_stack_rows_equal_each_bloch_affine(rng):
     ]
     assert sorted({len(ch.kraus_ops) for ch in channels}) == [1, 2, 3, 4]
     # theta = 1 reads (Q, c) off exactly: row 0 is (1, c^T), the block below it Q^T.
-    for ch, row in zip(channels, apply_on_b_pauli(np.eye(4), channels)):
+    for ch, row in zip(channels, apply_on_b_pauli(np.eye(4), *bloch_stack(channels))):
         q, c = bloch_affine(ch)
         assert np.array_equal(row[0, 1:], c) and np.array_equal(row[1:, 1:], q.T)
     theta = pauli_decompose(random_two_qubit(rng)).theta
-    for ch, row in zip(channels, apply_on_b_pauli(theta, channels)):
-        assert np.array_equal(row, apply_on_b_pauli(theta, [ch])[0])
+    for ch, row in zip(channels, apply_on_b_pauli(theta, *bloch_stack(channels))):
+        assert np.array_equal(row, apply_on_b_pauli(theta, *bloch_stack([ch]))[0])
 
 
 def test_pauli_stack_rejects_non_qubit_channel(rng):
@@ -285,7 +287,31 @@ def test_pauli_stack_rejects_non_qubit_channel(rng):
             channels = [amplitude_damping(0.3), amplitude_damping(0.6)]
             channels.insert(k, other)
             with pytest.raises(DimensionMismatch):
-                apply_on_b_pauli(theta, channels)
+                apply_on_b_pauli(theta, *bloch_stack(channels))
+
+
+def test_damping_bloch_equals_kraus_route():
+    # The closed form Q = diag(sqrt(1-g), sqrt(1-g), 1-g), c = g z_hat equals
+    # the Kraus pair's Bloch action row by row, endpoints g = 0 and 1 included
+    # (2.2e-16 measured).
+    gammas = np.linspace(0.0, 1.0, 101)
+    q, c = damping_bloch(gammas)
+    assert q.shape == (101, 3, 3) and c.shape == (101, 3)
+    for g, qg, cg in zip(gammas, q, c):
+        q_ref, c_ref = bloch_affine(amplitude_damping(float(g)))
+        assert np.abs(qg - q_ref).max() <= 2.3e-16
+        assert np.abs(cg - c_ref).max() <= 2.3e-16
+    assert np.array_equal(q[0], np.eye(3)) and np.array_equal(c[0], np.zeros(3))
+
+
+def test_damping_bloch_checks_every_gamma():
+    with pytest.raises(NotFinite):
+        damping_bloch([0.0, float("nan"), 0.5])
+    with pytest.raises(NotFinite):
+        damping_bloch([0.0, float("inf")])
+    for bad in ([0.0, -1e-9], [1.0 + 1e-12], [0.5, 2.0, 0.1]):
+        with pytest.raises(ParameterOutOfRange):
+            damping_bloch(bad)
 
 
 def test_apply_rejects_channel_of_other_shape(rng):

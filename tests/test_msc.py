@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis.strategies import floats, lists
 
 from qsteer import msc
-from qsteer.channels import amplitude_damping, apply_on_b
+from qsteer.channels import amplitude_damping, apply_on_b, bloch_stack, damping_bloch
 from qsteer.coherence import coherence_l1
 from qsteer.errors import (
+    DimensionMismatch,
     DimensionTooLarge,
     QsteerError,
     RankDeficientSchmidt,
@@ -559,10 +560,21 @@ def test_near_product_witnesses_are_hermitian():
 
 def test_sweep_of_no_channels_is_empty():
     for state in (werner(0.5).state, random_density_matrix(np.random.default_rng(1), (3, 2))):
-        values, converged = msc_sweep(state, [])
+        values, converged = msc_sweep(state, *bloch_stack([]))
         assert values.shape == converged.shape == (0,)
         assert values.dtype == float
         assert converged.dtype == bool
+
+
+def test_sweep_needs_a_qubit_bob():
+    # The Bloch action (Q, c) acts on a qubit; a qutrit Bob, or a state that
+    # is not bipartite, is refused before anything is solved.
+    q, c = damping_bloch([0.0, 0.5])
+    for state in (random_density_matrix(np.random.default_rng(1), (2, 3)),
+                  random_density_matrix(np.random.default_rng(2), (3, 3)),
+                  random_density_matrix(np.random.default_rng(3), (4,))):
+        with pytest.raises(DimensionMismatch):
+            msc_sweep(state, q, c)
 
 
 # ---------- degenerate branch (b = 0): the middle-semiaxis certificate ----------

@@ -153,6 +153,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["sweep", "--family", "werner", "--p", "0.5", "--grid", "0"]) == 2
     assert main(["sweep", "--family", "werner", "--p", "0.5", "--channel", "unital", "--e", "a,0,0,0"]) == 2
     assert main(["sweep", "--family", "werner", "--p", "0.5", "--channel", "unital", "--e", "nan,0,0,1"]) == 2
+    # Mixture weights are checked once, before the grid: here only gamma = 0
+    # would be built. --e belongs to the unital channel only.
+    assert main(["sweep", "--family", "werner", "--p", "0.5", "--grid", "1", "--channel", "unital",
+                 "--e", "0.5,0.6,0,0"]) == 2
+    assert main(["sweep", "--family", "werner", "--p", "0.5", "--channel", "amplitude-damping",
+                 "--e", "0.4,0.3,0.2,0.1"]) == 2
     assert main(["msc", "--family", "rho-p", "--p", "0.5", "--theta", "x"]) == 2
     assert main(["msc", "--family", "rho-p", "--p", "0.5", "--theta", "inf"]) == 2
     # A bare sign before pi is +-1 pi.
@@ -200,8 +206,8 @@ def test_cli_nonconvergence_exit_code(monkeypatch, capsys):
 
     real_sweep = cli.msc_sweep
 
-    def fake_sweep(state, channels):
-        values, converged = real_sweep(state, channels)
+    def fake_sweep(state, q, c):
+        values, converged = real_sweep(state, q, c)
         converged[2] = False
         return values, converged
 
@@ -242,7 +248,7 @@ def test_cli_sweep_grid_counts_gamma_points_only(tmp_path):
     # stacked sweep equals the per-point solve of the channel's output. The
     # inputs cover damping and unital sweeps, a degenerate row at gamma = 0
     # (Werner under damping), every row degenerate (Werner under a unital
-    # channel) and the general path (a 3x2 state).
+    # channel) and the general path's Bob blocks (a 3x2 and a 4x2 state).
     from qsteer.channels import amplitude_damping, apply_on_b, unital_pauli
     from qsteer.msc import msc_general, msc_two_qubit
 
@@ -258,6 +264,7 @@ def test_cli_sweep_grid_counts_gamma_points_only(tmp_path):
         (werner(0.6).state, [], amplitude_damping),
         (werner(0.6).state, flags, unital),
         (random_density_matrix(np.random.default_rng(4), (3, 2)), [], amplitude_damping),
+        (random_density_matrix(np.random.default_rng(5), (4, 2)), flags, unital),
     ]
     for k, (state, extra, make) in enumerate(inputs):
         path, out = tmp_path / f"s{k}.json", tmp_path / f"s{k}.csv"
@@ -269,6 +276,29 @@ def test_cli_sweep_grid_counts_gamma_points_only(tmp_path):
         for g, v in rows:
             expected = solve(apply_on_b(state, make(float(g)))).value
             assert float(v) == pytest.approx(expected, abs=1e-12)
+
+
+def test_cli_unital_sweep_interpolates_bloch_actions(monkeypatch, tmp_path):
+    # (1 - g) id + g E is affine in g, so the CLI's (Q, c) rows equal the Bloch
+    # action of the scaled mixture unital_pauli(1 - g + g e0, g e1, g e2, g e3).
+    import qsteer.cli as cli
+    from qsteer.channels import bloch_affine, unital_pauli
+
+    seen = []
+
+    def record(state, q, c):
+        seen.append((q, c))
+        return np.zeros(len(q)), np.ones(len(q), dtype=bool)
+
+    monkeypatch.setattr(cli, "msc_sweep", record)
+    e = (0.4, 0.3, 0.2, 0.1)
+    assert main(["sweep", "--family", "rho-p", "--p", "0.5", "--theta", "0.1pi", "--grid", "11", "--channel",
+                 "unital", "--e", ",".join(map(str, e)), "--out", str(tmp_path / "s.csv")]) == 0
+    (q, c), = seen
+    for g, qg, cg in zip(np.linspace(0.0, 1.0, 11), q, c):
+        q_ref, c_ref = bloch_affine(unital_pauli(1 - g + g * e[0], g * e[1], g * e[2], g * e[3]))
+        assert np.abs(qg - q_ref).max() <= 1e-15
+        assert np.abs(cg - c_ref).max() <= 1e-15
 
 
 def test_cli_msc_converges_on_4x4(rng, tmp_path, capsys):
