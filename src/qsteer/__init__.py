@@ -31,7 +31,6 @@ from .msc import (
     msc_oracle,
     msc_sweep,
     msc_two_qubit,
-    optimal_measurement_pure,
     sphere_sequence,
 )
 from .qcore import (
@@ -108,7 +107,6 @@ __all__ = [
     "msc_oracle",
     "msc_sweep",
     "msc_two_qubit",
-    "optimal_measurement_pure",
     "partial_trace",
     "pauli_compose",
     "pauli_decompose",

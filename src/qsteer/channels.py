@@ -77,6 +77,8 @@ def amplitude_damping(gamma: float) -> KrausChannel:
         E0 = |0><0| + sqrt(1-gamma) |1><1|
         E1 = sqrt(gamma) |0><1|
     """
+    if not np.isfinite(gamma):
+        raise NotFinite(f"gamma = {gamma!r} must be finite")
     if not 0.0 <= gamma <= 1.0:
         raise ParameterOutOfRange(f"gamma = {gamma!r} outside [0, 1]")
     ops = [[[1, 0], [0, np.sqrt(1 - gamma)]], [[0, np.sqrt(gamma)], [0, 0]]]

@@ -57,11 +57,14 @@ def _number(text: str, flag: str, parse=float):
 
 def _parse_angle(text: str) -> float:
     text = text.strip().lower()
-    if text.endswith("pi"):
-        # A bare or signed "pi" has the coefficient 1.
-        coeff = text[:-2]
-        return _number(coeff + "1" if coeff in ("", "+", "-") else coeff, "theta") * math.pi
-    return _number(text, "theta")
+    if not text.endswith("pi"):
+        return _number(text, "theta")
+    # A bare or signed "pi" has the coefficient 1; a finite coefficient can still overflow once times pi.
+    coeff = text[:-2]
+    theta = _number(coeff + "1" if coeff in ("", "+", "-") else coeff, "theta") * math.pi
+    if not math.isfinite(theta):
+        raise QsteerError(f"--theta: {text!r} is not finite")
+    return theta
 
 
 def _family_state(args) -> DensityMatrix:
@@ -76,6 +79,8 @@ def _family_state(args) -> DensityMatrix:
         return maximally_obese(_req(args, "b")).state
     if fam == "chord":
         b = _req(args, "b")
+        if not -1.0 <= b <= 1.0:
+            raise QsteerError(f"--b: {b!r} outside [-1, 1] for the chord family")
         alpha = math.acos(b)
         chi = np.array([math.cos(alpha / 2), math.sin(alpha / 2)])
         chi_p = np.array([math.cos(alpha / 2), -math.sin(alpha / 2)])
@@ -209,6 +214,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise QsteerError(f"--seed: {args.seed} is negative")
     names = args.only or None
     all_passed = True
     for result in run_checks(only=names, seed=args.seed):

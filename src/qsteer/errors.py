@@ -89,10 +89,6 @@ class RankDeficient(ValidationError):
     pass
 
 
-class RankDeficientSchmidt(RankDeficient):
-    pass
-
-
 class GeometryViolation(ValidationError):
     pass
 

@@ -56,7 +56,6 @@ from .errors import (
     NotBipartite,
     NotFinite,
     NotPSD,
-    RankDeficientSchmidt,
     TrivialProductState,
     WrongDimension,
     ZeroProbability,
@@ -68,19 +67,17 @@ from .qcore import (
     DensityMatrix,
     PAULIS,
     PSD_TOL,
-    SCHMIDT_FLOOR,
     bloch_basis,
     degenerate_blocks,
     eigen_hermitian,
     fibonacci_sphere,
-    ket_dm,
     partial_trace,
     pauli_decompose,
     unit_perpendicular,
     validate_density,
     validate_pauli_forms,
 )
-from .steering import SINGULAR_MARGINAL_TOL, ZERO_PROBABILITY_TOL, _whiten, _whitened_map, _whitening, steer
+from .steering import SINGULAR_MARGINAL_TOL, ZERO_PROBABILITY_TOL, _whiten, _whitened_map
 
 TRIVIAL_A_TOL = 1e-9
 # Above DEGENERACY_TOL, a |b| below this still gets a warning: the reference
@@ -379,13 +376,18 @@ def _witnesses(lam: np.ndarray, phi: np.ndarray, rtol: float) -> tuple[float, np
     return top, phi[keep]
 
 
+def _steered_operator(smap: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Bob's unnormalized steered operator S = phi^dag T phi for the whitened ket phi; tr S = |phi|^2 up to roundoff."""
+    return np.einsum("x,bdxy,y->bd", phi.conj(), smap, phi)
+
+
 def _witness_gradient(smap: np.ndarray, vectors: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """G with d/dt coherence(phi, V exp(itH)) = tr(G H) at t = 0: the Hermitian part of i(P^dag B - B P^dag).
 
-    B = V^dag S V for the whitened ket phi's unnormalized steered operator S = phi^dag T phi and
+    B = V^dag S V for the whitened ket phi's steered operator S (_steered_operator) and
     P_ij = B_ij/|B_ij| off the diagonal, since d|B_ij| = Re(conj(P_ij) dB_ij) and dB = i(BH - HB).
     """
-    b = vectors.conj().T @ np.einsum("x,bdxy,y->bd", phi.conj(), smap, phi) @ vectors
+    b = vectors.conj().T @ _steered_operator(smap, phi) @ vectors
     mag = np.abs(b)
     np.fill_diagonal(mag, 0.0)
     p = np.divide(b, mag, out=np.zeros_like(b), where=mag > 0)
@@ -451,7 +453,9 @@ def msc_general(state: DensityMatrix) -> MscResult:
     the end basis whose full ascent is lowest. A rank-one state (second
     eigenvalue at most SINGULAR_MARGINAL_TOL) skips both: its witness steers
     Bob to the sum of rho_B's r support eigenvectors, coherence r - 1 in
-    the eigenbasis. The value is the coherence of the witness steered state.
+    the eigenbasis. Every route ends in a whitened witness ket phi: the
+    steered state is phi^dag T phi over its trace (_steered_operator), the
+    value its coherence, and optimal_m is R phi normalized.
     """
     if not state.is_bipartite:
         raise NotBipartite(f"need a bipartite state, got dims {state.dims}")
@@ -459,23 +463,20 @@ def msc_general(state: DensityMatrix) -> MscResult:
     if da > 4 or db > 4:
         raise DimensionTooLarge(f"general path supports subsystem dimensions <= 4, got {state.dims}")
     eigs, basis = eigen_hermitian(partial_trace(state, 1).matrix)
+    smap, whiten = _whitened_map(state)
     evals, evecs = np.linalg.eigh(state.matrix)
     if evals[-2] <= SINGULAR_MARGINAL_TOL:
         # Rank one, rho = Psi Psi^dag: phi steers to K^T conj(phi), K = R^dag Psi with K K^dag = 1_r, so
         # phi = K conj(x) steers to x, the sum of Bob's r support vectors, with coherence r - 1, the most
         # on r levels; every admissible basis spans the support with r vectors, so no descent runs.
-        whiten = _whitening(state)
         k = whiten.conj().T @ (math.sqrt(evals[-1]) * evecs[:, -1]).reshape(da, db)
-        psi = whiten @ k @ basis.vectors[:, : k.shape[0]].sum(axis=1).conj()
-        psi, converged, vectors = psi / np.linalg.norm(psi), True, basis.vectors
+        phi, converged, vectors = k @ basis.vectors[:, : k.shape[0]].sum(axis=1).conj(), True, basis.vectors
     else:
-        smap, whiten = _whitened_map(state)
 
         def solve(vectors):
             lam, phi, settled = _maximize_rank1(smap, vectors)
             best = int(np.argmax(lam))
-            psi = whiten @ phi[best]
-            return float(lam[best]), psi / np.linalg.norm(psi), bool(settled[best]), vectors
+            return float(lam[best]), phi[best], bool(settled[best]), vectors
 
         starts = [basis.vectors]
         if basis.degenerate:
@@ -487,45 +488,20 @@ def msc_general(state: DensityMatrix) -> MscResult:
             g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             starts += [basis.vectors @ _expm_i_hermitian((h + h.conj().T) * mask) for h in g]
             starts = [_descend(smap, v, mask) for v in starts]
-        _, psi, converged, vectors = min((solve(v) for v in starts), key=lambda c: c[0])
+        _, phi, converged, vectors = min((solve(v) for v in starts), key=lambda c: c[0])
+    # Normalized by its computed trace, not |phi|^2: the two differ by roundoff, which the unit-trace check sees.
+    s = _steered_operator(smap, phi)
+    steered = validate_density((s + s.conj().T) / (2 * s.trace().real), (db,))
     ref = Basis(vectors=vectors, degenerate=basis.degenerate)
-    steered, _ = steer(state, ket_dm(psi))
+    psi = whiten @ phi
     return MscResult(
         value=coherence_l1(steered, ref),
-        optimal_m=psi,
+        optimal_m=psi / np.linalg.norm(psi),
         steered_state=steered,
         reference_basis=ref,
         degenerate_path=basis.degenerate,
         converged=converged,
     )
-
-
-# ---------- closed-form witness for pure states ----------
-
-
-def optimal_measurement_pure(psi, dims) -> np.ndarray:
-    """Rank-one POVM element steering a full-Schmidt-rank pure state to the
-    maximally coherent state in Bob's Schmidt basis.
-
-    The element projects onto the inverse-Schmidt-weighted superposition of
-    Alice's Schmidt vectors. Raises RankDeficientSchmidt when any Schmidt
-    coefficient falls below SCHMIDT_FLOOR.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    da, db = (int(d) for d in dims)
-    if psi.shape != (da * db,):
-        raise WrongDimension(f"state vector length {psi.shape} does not match dims {dims}")
-    psi = psi / np.linalg.norm(psi)
-    u, s, _ = np.linalg.svd(psi.reshape(da, db))
-    r = min(da, db)
-    if s[:r].min() < SCHMIDT_FLOOR:
-        raise RankDeficientSchmidt(
-            f"smallest Schmidt coefficient {s[:r].min():.3e} below tolerance {SCHMIDT_FLOOR:.0e}"
-        )
-    weights = 1.0 / s[:r]
-    phi = u[:, :r] @ weights
-    phi = phi / np.linalg.norm(phi)
-    return ket_dm(phi)
 
 
 # ---------- brute-force oracle ----------

@@ -28,8 +28,6 @@ HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 DEGENERACY_TOL = 1e-9
-# Smallest Schmidt coefficient a full-Schmidt-rank pure state may have.
-SCHMIDT_FLOOR = 1e-8
 MAX_DIM = 16
 
 # ---------- Pauli operators ----------
@@ -253,6 +251,8 @@ def validate_pauli_forms(theta: np.ndarray) -> None:
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
     """Bloch vector (x, y, z) of a single-qubit density matrix."""
     rho = np.asarray(rho, dtype=complex)
+    if not np.isfinite(rho).all():
+        raise NotFinite("matrix has non-finite entries")
     return np.array([np.real(np.trace(rho @ s)) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
 
 

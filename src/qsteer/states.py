@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     GeometryViolation,
+    NotFinite,
     ParameterOutOfRange,
     RadialSegment,
     RankDeficient,
@@ -38,7 +39,6 @@ from .qcore import (
     KET_1,
     KET_MINUS,
     KET_PLUS,
-    SCHMIDT_FLOOR,
     bloch_vector,
     ket_dm,
     partial_trace,
@@ -47,6 +47,9 @@ from .qcore import (
     validate_density,
 )
 from .steering import Ellipsoid, qse
+
+# Smallest Schmidt coefficient a full-Schmidt-rank pure state may have.
+SCHMIDT_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -124,6 +127,8 @@ def rho_p(p: float, theta: float) -> StateFamilyResult:
     The QSE is a prolate spheroid on the x axis; the coherence closed form
     is p sin(theta) / sqrt(1 - (p cos(theta))^2).
     """
+    if not math.isfinite(p) or not math.isfinite(theta):
+        raise NotFinite(f"p = {p!r} and theta = {theta!r} must be finite")
     if not 0.0 < p < 1.0:
         raise ParameterOutOfRange(f"p = {p!r} outside (0, 1)")
     psi = math.cos(theta / 2) * np.kron(KET_PLUS, KET_PLUS) + math.sin(theta / 2) * np.kron(KET_MINUS, KET_MINUS)

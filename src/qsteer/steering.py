@@ -123,21 +123,17 @@ def canonical_transform(state: DensityMatrix) -> DensityMatrix:
     return validate_density(out, state.dims)
 
 
-def _whitening(state: DensityMatrix) -> np.ndarray:
-    """R = U diag(w^-1/2) over rho_A's eigenvalues w above SINGULAR_MARGINAL_TOL, spanning its support."""
-    w, u = np.linalg.eigh(partial_trace(state, 0).matrix)
-    keep = w > SINGULAR_MARGINAL_TOL
-    return u[:, keep] * w[keep] ** -0.5
-
-
 def _whitened_map(state: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """The whitened steering map T[b, d] = R^dag rho_bd R of a bipartite state and its whitening R = _whitening(state).
+    """The whitened steering map T[b, d] = R^dag rho_bd R of a bipartite state and its whitening R.
 
-    Alice's ket psi = R phi steers to the unnormalized operator phi^dag T phi with probability |phi|^2;
-    kets outside rho_A's support steer nothing.
+    R = U diag(w^-1/2) over rho_A's eigenvalues w above SINGULAR_MARGINAL_TOL spans its support. Alice's ket
+    psi = R phi steers to the unnormalized operator phi^dag T phi with probability |phi|^2; kets outside rho_A's
+    support steer nothing.
     """
     da, db = state.dims
-    r = _whitening(state)
+    w, u = np.linalg.eigh(partial_trace(state, 0).matrix)
+    keep = w > SINGULAR_MARGINAL_TOL
+    r = u[:, keep] * w[keep] ** -0.5
     return np.einsum("cx,cbad,ay->bdxy", r.conj(), state.matrix.reshape(da, db, da, db), r), r
 
 

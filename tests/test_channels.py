@@ -57,6 +57,10 @@ def test_damping_parameter_range():
         amplitude_damping(1.2)
     with pytest.raises(ParameterOutOfRange):
         amplitude_damping(-0.1)
+    # Finiteness is checked before the range, which NaN also fails.
+    for gamma in (float("nan"), float("inf")):
+        with pytest.raises(NotFinite):
+            amplitude_damping(gamma)
 
 
 def test_kraus_completeness_all_constructors(rng):

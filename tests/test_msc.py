@@ -10,7 +10,6 @@ from qsteer.errors import (
     DimensionMismatch,
     DimensionTooLarge,
     QsteerError,
-    RankDeficientSchmidt,
     SingularMarginal,
     TrivialProductState,
     ZeroProbability,
@@ -21,13 +20,13 @@ from qsteer.msc import (
     msc_oracle,
     msc_sweep,
     msc_two_qubit,
-    optimal_measurement_pure,
     sphere_sequence,
 )
 from qsteer.optimize import max_norm_on_sphere
 from qsteer.qcore import (
     bloch_vector,
     eigen_hermitian,
+    ket_dm,
     partial_trace,
     pauli_compose,
     pauli_decompose,
@@ -238,13 +237,18 @@ def test_ascent_reaches_the_schmidt_rank_on_pure_states(dims):
         assert lam.max() == pytest.approx(dims[0] - 1, abs=1e-12)
 
 
+def _near_pure(delta):
+    # (1 - delta) psi psi^dag + delta 1/9 for a Schmidt-rank-3 psi.
+    psi = _pure(np.random.default_rng(31), (0.7, 0.5, 0.4), (3, 3))
+    return validate_density((1 - delta) * psi.matrix + delta * np.eye(9) / 9, (3, 3))
+
+
 @pytest.mark.parametrize("delta, routed", [(5e-12, True), (2e-11, False)], ids=["routed", "ascent"])
 def test_general_across_the_rank_one_cut(monkeypatch, delta, routed):
-    # (1 - delta) psi psi^dag + delta 1/9 has lambda_2 = delta/9: 5.6e-13 is
-    # within the support cut SINGULAR_MARGINAL_TOL = 1e-12 and takes the closed
-    # form, 2.2e-12 is not; both equal the direct ascent's top lambda.
-    psi = _pure(np.random.default_rng(31), (0.7, 0.5, 0.4), (3, 3))
-    st = validate_density((1 - delta) * psi.matrix + delta * np.eye(9) / 9, (3, 3))
+    # _near_pure(delta) has lambda_2 = delta/9: 5.6e-13 is within the support
+    # cut SINGULAR_MARGINAL_TOL = 1e-12 and takes the closed form, 2.2e-12 is
+    # not; both equal the direct ascent's top lambda.
+    st = _near_pure(delta)
     _, basis = eigen_hermitian(partial_trace(st, 1).matrix)
     lam, _, _ = msc._maximize_rank1(_whitened_map(st)[0], basis.vectors)
     calls = _count_ascents(monkeypatch)
@@ -253,6 +257,29 @@ def test_general_across_the_rank_one_cut(monkeypatch, delta, routed):
     assert not res.degenerate_path
     assert res.value == pytest.approx(lam.max(), abs=1e-14)
     assert res.value < 2.0
+
+
+def test_general_witness_state_equals_steer():
+    # steered_state is the witness's phi^dag T phi over its trace; steer of
+    # Alice's reported ket stays the independent check (2.2e-16 measured).
+    rng = np.random.default_rng(41)
+    states = [random_density_matrix(rng, dims) for dims in ((2, 3), (3, 3), (4, 4)) for _ in range(3)]
+    states += [_pure(rng, coefs, (4, 4)) for coefs in ((0.8, 0.6), (0.7, 0.5, 0.3), (0.7, 0.5, 0.4, 0.2))]
+    states += [_near_pure(5e-12), _near_pure(2e-11)]
+    for st in states:
+        res = msc_general(st)
+        want, _ = steer(st, ket_dm(res.optimal_m))
+        assert res.steered_state.dims == (st.dims[1],)
+        np.testing.assert_allclose(res.steered_state.matrix, want.matrix, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_general_pure_state_with_a_small_schmidt_coefficient(seed):
+    # Schmidt coefficients (0.9, 0.43, 1e-4): the witness's outcome weight is
+    # ~1e-8, so its steered operator's trace and |phi|^2 differ by roundoff
+    # that a division by |phi|^2 would carry into a NotUnitTrace raise.
+    res = msc_general(_pure(np.random.default_rng(seed), (0.9, 0.43, 1e-4), (3, 3)))
+    assert res.value == pytest.approx(2.0, abs=1e-8)
 
 
 def test_general_degenerate_werner(monkeypatch):
@@ -342,6 +369,8 @@ def test_general_degenerate_qutrit_bob_descends():
     assert res.converged
     assert res.value <= 0.5537770105423846 - 1e-2
     assert abs(res.value - coherence_l1(res.steered_state, res.reference_basis)) <= 1e-9
+    want, _ = steer(st, ket_dm(res.optimal_m))
+    np.testing.assert_allclose(res.steered_state.matrix, want.matrix, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)])
@@ -373,52 +402,6 @@ def test_general_partly_degenerate_bob_keeps_the_lone_eigenvector():
     assert res.degenerate_path
     assert np.abs(res.reference_basis.vectors[:, 0] - eigenbasis.vectors[:, 0]).max() <= 1e-12
     assert np.abs(res.reference_basis.vectors[:, 1:] - eigenbasis.vectors[:, 1:]).max() > 1e-3
-
-
-def _steer_by_hand(psi, m_op, da, db):
-    rho = np.outer(psi, psi.conj()).reshape(da, db, da, db)
-    out = np.einsum("ac,cbad->bd", m_op, rho)
-    p = float(np.real(np.trace(out)))
-    return out / p, p
-
-
-def test_optimal_measurement_bell():
-    bell = np.zeros(4, dtype=complex)
-    bell[0] = bell[3] = 1 / np.sqrt(2)
-    m = optimal_measurement_pure(bell, (2, 2))
-    assert np.linalg.matrix_rank(m, tol=1e-10) == 1
-    steered, p = _steer_by_hand(bell, m, 2, 2)
-    off = abs(steered[0, 1]) + abs(steered[1, 0])
-    assert off == pytest.approx(1.0, abs=1e-9)
-    assert p == pytest.approx(0.5, abs=1e-9)
-
-
-def test_optimal_measurement_skewed_pair():
-    psi = np.sqrt(0.9) * np.array([1, 0, 0, 0]) + np.sqrt(0.1) * np.array([0, 0, 0, 1])
-    m = optimal_measurement_pure(psi.astype(complex), (2, 2))
-    steered, p = _steer_by_hand(psi.astype(complex), m, 2, 2)
-    # Steered to the maximally coherent state regardless of the skew.
-    off = abs(steered[0, 1]) + abs(steered[1, 0])
-    assert off == pytest.approx(1.0, abs=1e-9)
-    expected_p = 1.0 / (1 / 0.9 + 1 / 0.1) * 2
-    assert p == pytest.approx(expected_p, abs=1e-9)
-
-
-def test_optimal_measurement_qutrit():
-    lam2 = np.array([0.5, 0.3, 0.2])
-    psi = np.zeros(9, dtype=complex)
-    for i in range(3):
-        psi[i * 3 + i] = np.sqrt(lam2[i])
-    m = optimal_measurement_pure(psi, (3, 3))
-    steered, _ = _steer_by_hand(psi, m, 3, 3)
-    off = np.abs(steered).sum() - np.abs(np.diagonal(steered)).sum()
-    assert off == pytest.approx(2.0, abs=1e-9)
-
-
-def test_optimal_measurement_rank_deficient():
-    psi = np.array([1, 0, 0, 0], dtype=complex)
-    with pytest.raises(RankDeficientSchmidt):
-        optimal_measurement_pure(psi, (2, 2))
 
 
 def test_oracle_werner():

@@ -12,6 +12,7 @@ from qsteer.errors import (
 )
 from qsteer.qcore import (
     bloch_basis,
+    bloch_vector,
     eigen_hermitian,
     partial_trace,
     pauli_compose,
@@ -171,6 +172,8 @@ def test_eigen_rejects_non_hermitian():
         qubit_state([np.nan, 0.0, 0.0])
     with pytest.raises(NotFinite):
         bloch_basis([np.inf, 0.0, 1.0])
+    with pytest.raises(NotFinite):
+        bloch_vector(np.full((2, 2), np.nan))
 
 
 def test_pauli_decompose_identity():

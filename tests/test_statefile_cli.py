@@ -161,6 +161,15 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--e", "0.4,0.3,0.2,0.1"]) == 2
     assert main(["msc", "--family", "rho-p", "--p", "0.5", "--theta", "x"]) == 2
     assert main(["msc", "--family", "rho-p", "--p", "0.5", "--theta", "inf"]) == 2
+    # Input that numpy or math would refuse with a traceback: a chord length past 1, an
+    # angle that overflows once times pi, a negative seed.
+    assert main(["msc", "--family", "chord", "--b", "1.5"]) == 2
+    assert main(["msc", "--family", "rho-p", "--p", "0.5", "--theta", "1e308pi"]) == 2
+    assert main(["msc", "--family", "dlc", "--b1", "0.5", "--b2", "0.5", "--q", "0.5", "--theta", "1e308pi"]) == 2
+    assert main(["verify", "--only", "thm2", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    for flag in ("--b:", "--theta:", "--seed:"):
+        assert flag in err
     # A bare sign before pi is +-1 pi.
     assert main(["msc", "--family", "rho-p", "--p", "0.5", "--theta=-pi"]) == 0
     minus_pi = capsys.readouterr().out

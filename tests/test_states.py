@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qsteer.errors import (
+    NotFinite,
     NotPSD,
     ParameterOutOfRange,
     RadialSegment,
@@ -94,6 +95,9 @@ def test_rho_p_parameter_range():
         rho_p(0.0, 0.3)
     with pytest.raises(ParameterOutOfRange):
         rho_p(1.0, 0.3)
+    # math.cos(inf) raised a bare ValueError.
+    with pytest.raises(NotFinite):
+        rho_p(0.5, np.inf)
 
 
 def test_rho_p_discordant_below_entanglement_threshold():
